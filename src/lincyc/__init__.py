@@ -32,6 +32,7 @@ from .errors import (
     Infeasible,
     InvalidWitness,
     LincycError,
+    MalformedInput,
     NonUniformEdge,
     NotEnoughDensity,
     NotFound,

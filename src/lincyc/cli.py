@@ -3,7 +3,7 @@
 Subcommands: gen (instances), find (cycle families), verify (witness check),
 spectrum (oracle enumeration), sweep (success rate vs density), mert (tree
 inspection).  Exit codes: 0 success, 2 verified failure traces, 1 input
-errors.  A JSON config file can mirror any flag; explicit flags win.
+or usage errors.  A JSON config file can mirror any flag; explicit flags win.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import BudgetExceeded, InvalidWitness, LincycError
 from .generators import GenSpec, generate, greedy_partial_steiner
 from .mert import build_mert
 from .oracle import enumerate_cycles
-from .reductions import r_partite_reduction
+from .reductions import max_degree_root, r_partite_reduction, rotate_to_root
 
 
 def _read_graph(path: str) -> LinearHypergraph:
@@ -58,7 +58,6 @@ def cmd_gen(args, argv) -> int:
         mode=args.mode,
         d=args.d,
         girth_floor=args.girth_floor,
-        epsilon=args.epsilon,
         seed=_seed(args),
         lengths=[int(x) for x in args.lengths.split(",")] if args.lengths else [],
         background_density=args.background_density,
@@ -80,7 +79,6 @@ def cmd_gen(args, argv) -> int:
 def cmd_find(args, argv) -> int:
     g = _read_graph(args.input)
     seed = _seed(args)
-    strict = args.strict and not args.best_effort
     if args.mode == "c2k":
         try:
             cycle = find_c2k(g, args.k, seed)
@@ -94,7 +92,7 @@ def cmd_find(args, argv) -> int:
         ))
         return 0
     runner = consecutive_cycles if args.mode == "all" else even_consecutive_cycles
-    report = runner(g, args.k, seed, strict=strict)
+    report = runner(g, args.k, seed, strict=args.strict)
     if args.json:
         print(report.to_json())
     else:
@@ -198,21 +196,11 @@ def cmd_sweep(args, argv) -> int:
 def cmd_mert(args, argv) -> int:
     g = _read_graph(args.input)
     sub, partition = r_partite_reduction(g, seed=_seed(args))
-    if args.root is not None:
-        root = args.root
-        if root not in sub.vertices:
-            print(f"root {root} not in the partite subgraph", file=sys.stderr)
-            return 1
-    else:
-        _, _, degs = sub.degrees()
-        root = min(sub.vertices, key=lambda v: (-degs.get(v, 0), v))
-    parts = list(partition.parts)
-    idx = next(i for i, p in enumerate(parts) if root in p)
-    from .core import RPartition
-
-    rotated = RPartition(tuple([parts[idx]] + [p for i, p in enumerate(parts) if i != idx]))
-    m = build_mert(sub, rotated, root)
-    print(m.to_json())
+    root = max_degree_root(sub) if args.root is None else args.root
+    if root not in sub.vertices:
+        print(f"root {root} not in the partite subgraph", file=sys.stderr)
+        return 1
+    print(build_mert(sub, rotate_to_root(sub, partition, root), root).to_json())
     return 0
 
 
@@ -230,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["steiner", "sparsified", "planted"], default="steiner")
     p.add_argument("--d", type=float, default=4.0)
     p.add_argument("--girth-floor", type=int, default=3)
-    p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--lengths", type=str, default="")
     p.add_argument("--background-density", type=float, default=0.0)
     p.add_argument("--out", type=str, default=None)
@@ -243,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=["all", "even", "c2k"], default="even")
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--best-effort", action="store_true")
     p.add_argument("--json", action="store_true")
     common(p)
     p.set_defaults(func=cmd_find)
@@ -278,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mert", help="build and dump the expanded tree")
     p.add_argument("--input", type=str, required=True)
     p.add_argument("--root", type=int, default=None)
-    p.add_argument("--json", action="store_true")
     common(p)
     p.set_defaults(func=cmd_mert)
 
@@ -290,6 +275,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error; 2 here means an honest failure
+        return 1 if exc.code else 0
+    try:
         _apply_config(args, argv)
         return args.func(args, argv)
     except (OSError, json.JSONDecodeError) as err:

@@ -17,6 +17,7 @@ from typing import Iterable, Literal, Optional, Sequence
 from .errors import (
     DuplicatePair,
     InvalidWitness,
+    MalformedInput,
     NonUniformEdge,
     NotPartite,
     VertexOutOfRange,
@@ -143,16 +144,30 @@ class LinearHypergraph:
 
     @classmethod
     def from_text(cls, text: str) -> "LinearHypergraph":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        r, n, m = (int(x) for x in lines[0].split())
-        edges = [tuple(int(x) for x in ln.split()) for ln in lines[1 : 1 + m]]
-        return cls(n, r, edges)
+        """Parse an 'r n m' header line and exactly m edge lines; blank lines
+        are skipped."""
+        rows = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1)]
+        rows = [(no, _ints(tokens, no)) for no, tokens in rows if tokens]
+        if not rows:
+            raise MalformedInput("empty input: expected an 'r n m' header")
+        (head_no, head), *body = rows
+        if len(head) != 3:
+            raise MalformedInput(f"header must be the three integers 'r n m', got {head}", head_no)
+        r, n, m = head
+        if len(body) != m:
+            raise MalformedInput(f"header declares {m} edges, {len(body)} edge lines follow", head_no)
+        return cls(n, r, [tuple(e) for _, e in body])
 
     def to_json_obj(self) -> dict:
         return {"r": self.r, "n": self.n, "edges": [list(e) for e in self.edges]}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LinearHypergraph":
+        if not isinstance(obj, dict):
+            raise MalformedInput("graph JSON must be an object with keys r, n, edges")
+        for key, ok in (("r", _is_int), ("n", _is_int), ("edges", _is_edge_list)):
+            if not ok(obj.get(key)):
+                raise MalformedInput(f"graph JSON key {key!r} is missing or ill-typed")
         return cls(obj["n"], obj["r"], [tuple(e) for e in obj["edges"]])
 
     def to_json(self) -> str:
@@ -161,6 +176,23 @@ class LinearHypergraph:
     @classmethod
     def from_json(cls, text: str) -> "LinearHypergraph":
         return cls.from_json_obj(json.loads(text))
+
+
+def _ints(tokens: list[str], line: int) -> list[int]:
+    try:
+        return [int(x) for x in tokens]
+    except ValueError:
+        raise MalformedInput(f"non-integer token in {' '.join(tokens)!r}", line) from None
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_edge_list(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(e, list) and all(map(_is_int, e)) for e in value
+    )
 
 
 def build(n: int, r: int, edges: Iterable[Iterable[int]]) -> LinearHypergraph:
@@ -187,12 +219,6 @@ class RPartition:
     @property
     def r(self) -> int:
         return len(self.parts)
-
-    def part_of(self, v: int) -> Optional[int]:
-        for i, part in enumerate(self.parts):
-            if v in part:
-                return i
-        return None
 
     def index_map(self) -> dict[int, int]:
         return {v: i for i, part in enumerate(self.parts) for v in part}

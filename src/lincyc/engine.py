@@ -38,13 +38,15 @@ from .errors import (
 )
 from .mert import Mert, anchor_and_label, build_mert, expand_tree_path
 from .oracle import enumerate_cycles
-from .pathfinder import anchored_subgraph, pan_connected, rainbow_special_path
+from .pathfinder import _components, anchored_subgraph, pan_connected, rainbow_special_path
 from .reductions import (
     bfs_layers,
     d_minimal,
     degenerate_ordering,
+    max_degree_root,
     min_degree_subgraph,
     r_partite_reduction,
+    rotate_to_root,
 )
 
 import random
@@ -217,21 +219,9 @@ def dense_connected(b: ColoredGraph) -> ColoredGraph:
     if not b.edges:
         raise EmptyCore("projection has no edges")
     peel = degenerate_ordering(b.edges, b.average_degree() / 2)
-    core = peel.core_vertices
-    adj: dict[int, list[int]] = {v: [] for v in core}
-    for u, v in peel.core_edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    start = min(core)
-    comp = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in comp:
-                comp.add(w)
-                stack.append(w)
-    return b.restrict(e for e in peel.core_edges if e[0] in comp)
+    core = b.restrict(peel.core_edges)
+    comp = _components(core.adjacency())[0]
+    return core.restrict(e for e in core.edges if e[0] in comp)
 
 
 # -- shared pasting helper -----------------------------------------------------
@@ -255,6 +245,42 @@ def _paste_internal(g, mert, bundle, colored, sub, owner, vof) -> LinearCycle:
     return verify_cycle(g, seq)
 
 
+# -- layer filters, shared by the layer scan and both constructions -------------
+
+
+def _boundary_edges(g: LinearHypergraph, mert: Mert, t: int, k: int) -> tuple[list, int]:
+    """The D-edges at level t, which meet L_{t-1} and the rest of segment t
+    and avoid the earlier segments, and the count 8k r(r-1)(|L_{t-1}|+|L_t|)
+    the boundary construction needs."""
+    if not (1 <= t <= mert.height):
+        raise PreconditionFailed(f"t={t} outside 1..{mert.height}")
+    lt1 = mert.levels[t - 1]
+    inner = mert.segment_vertices(t) - lt1
+    early = mert.cumulative_vertices(t - 1) - lt1
+    d_edges = [
+        e
+        for e in g.edges
+        if lt1.intersection(e) and inner.intersection(e) and not early.intersection(e)
+    ]
+    return d_edges, 8 * k * g.r * (g.r - 1) * (len(lt1) + len(mert.levels[t]))
+
+
+def _internal_edges(g: LinearHypergraph, mert: Mert, t: int, k: int) -> tuple[list, int]:
+    """The F-edges at level t, which avoid the earlier segments and meet
+    segment t at least twice, and the count 8k r^(r+2)|L_t| the internal
+    construction needs."""
+    if not (1 <= t <= mert.height):
+        raise PreconditionFailed(f"t={t} outside 1..{mert.height}")
+    vht = mert.segment_vertices(t)
+    early = mert.cumulative_vertices(t - 1)
+    f_edges = [
+        e
+        for e in g.edges
+        if not early.intersection(e) and len(vht.intersection(e)) >= 2
+    ]
+    return f_edges, 8 * k * g.r ** (g.r + 2) * len(mert.levels[t])
+
+
 # -- boundary construction (even lengths) --------------------------------------
 
 
@@ -264,31 +290,18 @@ def cycles_from_boundary(
     mert: Mert,
     t: int,
     k: int,
-    seed: int = 0,
     best_effort: bool = False,
 ) -> tuple[CycleFamily, dict]:
     """k cycles of consecutive even lengths 2m+2..2m+2k (m <= t-1) from the
     edges crossing between level t-1 and the rest of segment t."""
-    r = g.r
-    if not (1 <= t <= mert.height):
-        raise PreconditionFailed(f"t={t} outside 1..{mert.height}")
-    lt1 = mert.levels[t - 1]
-    lt = mert.levels[t]
-    vht = mert.segment_vertices(t)
-    early = mert.cumulative_vertices(t - 1) - lt1
-    inner = vht - lt1
-    d_edges = [
-        e
-        for e in g.edges
-        if lt1.intersection(e) and inner.intersection(e) and not early.intersection(e)
-    ]
-    threshold = 8 * k * r * (r - 1) * (len(lt1) + len(lt))
+    d_edges, threshold = _boundary_edges(g, mert, t, k)
     info = {"t": t, "e_D": len(d_edges), "threshold": threshold}
-    if len(d_edges) < threshold and not best_effort:
+    if not d_edges or (len(d_edges) < threshold and not best_effort):
         raise NotEnoughDensity(len(d_edges), threshold, "boundary D-subgraph")
-    if not d_edges:
-        raise NotEnoughDensity(0, threshold, "boundary D-subgraph")
 
+    lt1 = mert.levels[t - 1]
+    vht = mert.segment_vertices(t)
+    inner = vht - lt1
     pm = partition.index_map()
     ell = mert.part_of_level[t - 1]
     counts: dict[int, int] = {}
@@ -348,25 +361,12 @@ def cycles_from_internal(
 ) -> tuple[CycleFamily, dict]:
     """2k cycles of consecutive lengths 2m+1..2m+2k (m <= t) from edges that
     avoid all earlier segments and meet segment t at least twice."""
-    r = g.r
-    if not (1 <= t <= mert.height):
-        raise PreconditionFailed(f"t={t} outside 1..{mert.height}")
-    lt1 = mert.levels[t - 1]
-    lt = mert.levels[t]
-    vht = mert.segment_vertices(t)
-    early = mert.cumulative_vertices(t - 1)
-    f_edges = [
-        e
-        for e in g.edges
-        if not early.intersection(e) and len(vht.intersection(e)) >= 2
-    ]
-    threshold = 8 * k * r ** (r + 2) * len(lt)
+    f_edges, threshold = _internal_edges(g, mert, t, k)
     info = {"t": t, "e_F": len(f_edges), "threshold": threshold}
-    if len(f_edges) < threshold and not best_effort:
+    if not f_edges or (len(f_edges) < threshold and not best_effort):
         raise NotEnoughDensity(len(f_edges), threshold, "internal F-subgraph")
-    if not f_edges:
-        raise NotEnoughDensity(0, threshold, "internal F-subgraph")
 
+    lt1 = mert.levels[t - 1]
     owner: dict[int, tuple[int, ...]] = {}
     vof: dict[int, int] = {}
     mt = []
@@ -456,7 +456,8 @@ def even_consecutive_cycles(
         gd = d_minimal(sub, sub.average_degree())
         trace.append({"stage": "d-minimal", "edges": gd.num_edges(),
                       "avg_degree": gd.average_degree()})
-        partition, root = _rooted_partition(gd, partition)
+        root = max_degree_root(gd)
+        partition = rotate_to_root(gd, partition, root)
         mert = build_mert(gd, partition, root)
     except LincycError as err:
         return failure("setup", str(err))
@@ -467,19 +468,17 @@ def even_consecutive_cycles(
                   "growth_factor": growth, "layer_cap": cap})
 
     candidates = _layer_candidates(gd, mert, k, strict)
-    fired = False
     for ratio, kind, t in candidates:
         try:
             if kind == "boundary":
                 fam, info = cycles_from_boundary(
-                    gd, partition, mert, t, k, seed, best_effort=not strict
+                    gd, partition, mert, t, k, best_effort=not strict
                 )
             else:
                 fam, info = cycles_from_internal(
                     gd, partition, mert, t, k, seed, best_effort=not strict
                 )
                 fam = _even_subfamily(fam, k)
-            fired = True
         except (LincycError, AssertionError) as err:
             trace.append({"stage": kind, "t": t, "status": "failed", "reason": str(err)})
             continue
@@ -490,7 +489,7 @@ def even_consecutive_cycles(
             fam.validate()
         return EngineReport(fam, trace, seed, regime, bound)
 
-    if strict and regime["in_regime"] and cap is not None and mert.height >= cap and not fired:
+    if strict and regime["in_regime"] and cap is not None and mert.height >= cap:
         raise TheoremContradictionTrace(
             "in-regime input with no layer firing by the cap", ledger
         )
@@ -504,42 +503,13 @@ def _even_subfamily(fam: CycleFamily, k: int) -> CycleFamily:
     return out
 
 
-def _rooted_partition(g: LinearHypergraph, partition: RPartition) -> tuple[RPartition, int]:
-    """Restrict the partition to the surviving vertices and rotate it so the
-    class of the chosen (maximum-degree) root comes first."""
-    parts = [frozenset(p & g.vertices) for p in partition.parts]
-    _, _, degs = g.degrees()
-    root = min(g.vertices, key=lambda v: (-degs.get(v, 0), v))
-    idx = next(i for i, p in enumerate(parts) if root in p)
-    rotated = tuple([parts[idx]] + [p for i, p in enumerate(parts) if i != idx])
-    return RPartition(rotated), root
-
-
 def _layer_candidates(g, mert: Mert, k: int, strict: bool):
-    r = g.r
     out = []
     for t in range(1, mert.height + 1):
-        lt1, lt = mert.levels[t - 1], mert.levels[t]
-        vht = mert.segment_vertices(t)
-        early_b = mert.cumulative_vertices(t - 1) - lt1
-        inner = vht - lt1
-        e_d = sum(
-            1
-            for e in g.edges
-            if lt1.intersection(e) and inner.intersection(e) and not early_b.intersection(e)
-        )
-        th_b = 8 * k * r * (r - 1) * (len(lt1) + len(lt))
-        early_i = mert.cumulative_vertices(t - 1)
-        e_f = sum(
-            1
-            for e in g.edges
-            if not early_i.intersection(e) and len(vht.intersection(e)) >= 2
-        )
-        th_f = 8 * k * r ** (r + 2) * len(lt)
-        if e_d:
-            out.append((e_d / max(th_b, 1), "boundary", t))
-        if e_f:
-            out.append((e_f / max(th_f, 1), "internal", t))
+        for kind, select in (("boundary", _boundary_edges), ("internal", _internal_edges)):
+            edges, threshold = select(g, mert, t, k)
+            if edges:
+                out.append((len(edges) / max(threshold, 1), kind, t))
     if strict:
         qualifying = [c for c in out if c[0] >= 1]
         return sorted(qualifying, key=lambda c: (c[2], c[1]))
@@ -576,10 +546,8 @@ def consecutive_cycles(
     else:
         d_eff = max(1.0, delta / 2)
     trace.append({"stage": "core", "delta": delta, "d_eff": d_eff})
-    _, _, degs = core.degrees()
-    x0 = min(core.vertices, key=lambda v: (-degs.get(v, 0), v))
     try:
-        anc = anchored_subgraph(core, x0, d_eff, seed)
+        anc = anchored_subgraph(core, max_degree_root(core), d_eff, seed)
     except LincycError as err:
         return failure("anchored", str(err))
     trace.append({"stage": "anchored", "m": anc.m,

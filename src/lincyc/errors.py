@@ -39,6 +39,15 @@ class NotPartite(LincycError):
         self.edge = tuple(edge)
 
 
+class MalformedInput(LincycError):
+    """Graph text or JSON that does not parse.  ``line`` is the 1-based number
+    of the offending line, when the error has one."""
+
+    def __init__(self, message, line=None):
+        super().__init__(message if line is None else f"line {line}: {message}")
+        self.line = line
+
+
 class InvalidWitness(LincycError):
     """A claimed path or cycle fails the intersection-pattern check.
 

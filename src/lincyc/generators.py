@@ -32,7 +32,6 @@ class GenSpec:
     mode: Literal["steiner", "sparsified", "planted"] = "steiner"
     d: float = 4.0
     girth_floor: int = 3
-    epsilon: float = 0.5
     seed: int = 0
     lengths: list[int] = field(default_factory=list)
     background_density: float = 0.0

@@ -35,7 +35,6 @@ class Mert:
     tree_edge: dict[int, tuple[int, ...]]
     chi: dict[Pair, frozenset[int]]
     part_of_level: tuple[int, ...]
-    matching_policy: str = "greedy-maximal"
     _vset_cache: dict[int, frozenset[int]] = field(default_factory=dict, repr=False)
 
     def segment_edges(self, i: int) -> list[tuple[int, ...]]:
@@ -60,13 +59,6 @@ class Mert:
     def tree_vertices(self) -> frozenset[int]:
         return frozenset(v for lvl in self.levels for v in lvl)
 
-    def depth(self, v: int) -> int:
-        d = 0
-        while v != self.root:
-            v = self.parent[v]
-            d += 1
-        return d
-
     def tree_path(self, v: int) -> list[int]:
         """Vertex list from the root down to v."""
         out = [v]
@@ -86,7 +78,7 @@ class Mert:
             "parent": {str(v): p for v, p in sorted(self.parent.items())},
             "chi": {f"{u},{v}": sorted(c) for (u, v), c in sorted(self.chi.items())},
             "part_of_level": list(self.part_of_level),
-            "matching": self.matching_policy,
+            "matching": "greedy-maximal",
         }
 
     def to_json(self) -> str:
@@ -267,7 +259,6 @@ class TreePathBundle:
     level: int
     labels: dict[int, int]
     paths: dict[int, list[int]]  # v -> vertex list anchor..v
-    subtree_vertices: frozenset[int]
 
     def union_path(self, u: int, v: int) -> list[int]:
         """Vertex list u .. anchor .. v for a label-1 u and label-2 v; meets
@@ -302,5 +293,4 @@ def anchor_and_label(m: Mert, s: Iterable[int]) -> TreePathBundle:
     x1 = min(children)
     labels = {v: (1 if paths[v][1] == x1 else 2) for v in sv}
     assert set(labels.values()) == {1, 2}
-    sub = frozenset(v for p in paths.values() for v in p)
-    return TreePathBundle(anchor, j, labels, paths, sub)
+    return TreePathBundle(anchor, j, labels, paths)

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .core import ColoredGraph, LinearCycle, LinearHypergraph, Pair, verify_cycle
+from .core import ColoredGraph, LinearCycle, LinearHypergraph, Pair
 from .errors import BudgetExceeded, TooLarge
 
 DEFAULT_BUDGET = 10**8

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import LinearHypergraph, LinearPath, Pair, RPartition, _pair
-from .errors import EmptyCore, NotFound, PreconditionFailed, RetriesExhausted
+from .errors import EmptyCore, PreconditionFailed, RetriesExhausted
 
 
 # -- minimum-degree core (hypergraph) ----------------------------------------
@@ -275,3 +275,20 @@ def _finish_partition(g: LinearHypergraph, part_of: dict[int, int]):
     )
     sub = g.edge_induced(kept) if kept else LinearHypergraph(g.n, g.r, [], vertices=frozenset())
     return sub, RPartition(parts)
+
+
+def max_degree_root(g: LinearHypergraph) -> int:
+    """The default root of a tree or an anchored search: a vertex of maximum
+    degree, ties to the lowest id."""
+    if not g.vertices:
+        raise EmptyCore("no vertex to root at: the graph is empty")
+    degs = {v: g.degree(v) for v in g.vertices}
+    return min(g.vertices, key=lambda v: (-degs[v], v))
+
+
+def rotate_to_root(g: LinearHypergraph, partition: RPartition, root: int) -> RPartition:
+    """The partition restricted to V(g), with the class of root moved to the
+    front, as build_mert requires."""
+    parts = [p & g.vertices for p in partition.parts]
+    idx = next(i for i, p in enumerate(parts) if root in p)
+    return RPartition(tuple([parts[idx]] + parts[:idx] + parts[idx + 1 :]))

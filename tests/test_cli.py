@@ -124,6 +124,37 @@ def test_missing_input_exits_one(tmp_path, capsys):
     assert code == 1 and "input error" in err
 
 
+def test_malformed_graph_exits_one(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("3 7 7\n0 1 2\n0 3 4\n")
+    code, _, err = run(["find", "--input", str(graph), "--k", "2"], capsys)
+    assert code == 1 and err.startswith("error: line 1:")
+    assert "Traceback" not in err
+
+
+def test_usage_error_exits_one(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("3 3 1\n0 1 2\n")
+    code, _, err = run(
+        ["find", "--input", str(graph), "--k", "2", "--best-effort"], capsys
+    )
+    assert code == 1 and "unrecognized arguments: --best-effort" in err
+    assert run(["find", "--k", "2"], capsys)[0] == 1
+    assert run(["find", "--help"], capsys)[0] == 0
+
+
+def test_edgeless_graph_fails_without_traceback(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("3 5 0\n")
+    code, out, _ = run(
+        ["find", "--input", str(graph), "--k", "2", "--mode", "even", "--seed", "0"],
+        capsys,
+    )
+    assert code == 2 and "failure stage=setup" in out
+    code, _, err = run(["mert", "--input", str(graph), "--seed", "0"], capsys)
+    assert code == 1 and err.startswith("error: ")
+
+
 # -- spectrum / mert -----------------------------------------------------------------------
 
 

@@ -13,7 +13,9 @@ from lincyc import (
     CycleFamily,
     DuplicatePair,
     InvalidWitness,
+    LincycError,
     LinearCycle,
+    MalformedInput,
     LinearHypergraph,
     NonUniformEdge,
     NotPartite,
@@ -273,3 +275,60 @@ def test_json_format_shape(fano):
     obj = json.loads(fano.to_json())
     assert set(obj) == {"r", "n", "edges"}
     assert obj["edges"] == [list(e) for e in fano.edges]
+
+
+@pytest.mark.parametrize("text,line", [
+    ("", None),
+    ("\n  \n", None),
+    ("3 7\n0 1 2\n", 1),
+    ("3 7 1 1\n0 1 2\n", 1),
+    ("3 7 x\n0 1 2\n", 1),
+    ("3 7 1\n0 1 x\n", 2),
+    ("3 7 1\n\n0 1 2.0\n", 3),
+    ("3 7 7\n0 1 2\n0 3 4\n", 1),
+    ("3 7 1\n0 1 2\n0 3 4\n", 1),
+])
+def test_from_text_rejects_malformed_input(text, line):
+    with pytest.raises(MalformedInput) as err:
+        LinearHypergraph.from_text(text)
+    assert err.value.line == line
+    if line is not None:
+        assert str(err.value).startswith(f"line {line}: ")
+
+
+def test_from_text_skips_blank_lines(fano):
+    text = "\n" + fano.to_text().replace("\n", "\n\n")
+    assert LinearHypergraph.from_text(text) == fano
+
+
+@pytest.mark.parametrize("text", [
+    "[]",
+    '{"r": 3, "n": 3}',
+    '{"n": 3, "edges": [[0, 1, 2]]}',
+    '{"r": "3", "n": 3, "edges": [[0, 1, 2]]}',
+    '{"r": 3, "n": 3.0, "edges": [[0, 1, 2]]}',
+    '{"r": 3, "n": true, "edges": [[0, 1, 2]]}',
+    '{"r": 3, "n": 3, "edges": [0, 1, 2]}',
+    '{"r": 3, "n": 3, "edges": [[0, 1, "2"]]}',
+    '{"r": 3, "n": 3, "edges": {"0": [0, 1, 2]}}',
+])
+def test_from_json_rejects_missing_or_ill_typed_keys(text):
+    with pytest.raises(MalformedInput):
+        LinearHypergraph.from_json(text)
+
+
+# tokens of at most three characters keep every parsed n small
+tokens = st.one_of(
+    st.sampled_from(["0", "1", "2", "3", "4", "7", "-1", "x", "2.5", "1_0"]),
+    st.text(max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(tokens, max_size=5).map(" ".join), max_size=8).map("\n".join))
+def test_from_text_returns_a_graph_or_a_lincyc_error(text):
+    try:
+        g = LinearHypergraph.from_text(text)
+    except LincycError:
+        return
+    assert LinearHypergraph.from_text(g.to_text()) == g

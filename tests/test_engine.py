@@ -188,6 +188,15 @@ def test_failure_report_shape():
     assert {"stage", "reason", "bound", "regime", "trace", "seed"} <= set(obj)
 
 
+@pytest.mark.parametrize("pipeline,stage", [
+    (even_consecutive_cycles, "setup"),
+    (consecutive_cycles, "core"),
+])
+def test_edgeless_input_fails_honestly(pipeline, stage):
+    report = pipeline(build(5, 3, []), 2, seed=0)
+    assert not report.success and report.outcome.stage == stage
+
+
 def test_report_schema_and_determinism(packing150):
     a = even_consecutive_cycles(packing150, 2, seed=5).to_json()
     b = even_consecutive_cycles(packing150, 2, seed=5).to_json()
