@@ -31,6 +31,7 @@ from .errors import (
     EmptyCore,
     Infeasible,
     InvalidWitness,
+    InvariantViolation,
     LincycError,
     MalformedInput,
     NonUniformEdge,

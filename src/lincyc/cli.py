@@ -3,7 +3,8 @@
 Subcommands: gen (instances), find (cycle families), verify (witness check),
 spectrum (oracle enumeration), sweep (success rate vs density), mert (tree
 inspection).  Exit codes: 0 success, 2 verified failure traces, 1 input
-or usage errors.  A JSON config file can mirror any flag; explicit flags win.
+or usage errors.  A JSON config file can mirror any flag of the subcommand and
+is checked like flags; explicit flags win.
 """
 
 from __future__ import annotations
@@ -33,16 +34,29 @@ def _read_graph(path: str) -> LinearHypergraph:
     return LinearHypergraph.from_text(text)
 
 
-def _apply_config(args: argparse.Namespace, argv: Sequence[str]) -> None:
-    if not getattr(args, "config", None):
-        return
-    with open(args.config) as fh:
-        cfg = json.load(fh)
+def _config_argv(ap: argparse.ArgumentParser, argv: list[str], path: str) -> list[str]:
+    """argv with the config file's keys spliced in as flags right after the
+    subcommand, so argparse checks them like flags and later explicit flags
+    win.  A true value adds a switch, false leaves it out."""
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as err:
+        ap.error(f"--config {path}: {err}")
+    if not isinstance(cfg, dict):
+        ap.error(f"--config {path} must hold a JSON object")
+    tokens = []
     for key, value in cfg.items():
-        dest = key.replace("-", "_")
         flag = "--" + key.replace("_", "-")
-        if hasattr(args, dest) and flag not in argv:
-            setattr(args, dest, value)
+        if value is True:
+            tokens.append(flag)
+        elif value is False:
+            continue
+        elif isinstance(value, (str, int, float)):
+            tokens.append(f"{flag}={value}")
+        else:
+            ap.error(f"config key {key!r} needs a string, number or boolean")
+    return argv[:1] + tokens + argv[1:]
 
 
 def _seed(args: argparse.Namespace) -> int:
@@ -51,7 +65,7 @@ def _seed(args: argparse.Namespace) -> int:
     return random.getrandbits(64)
 
 
-def cmd_gen(args, argv) -> int:
+def cmd_gen(args) -> int:
     spec = GenSpec(
         n=args.n,
         r=args.r,
@@ -76,7 +90,7 @@ def cmd_gen(args, argv) -> int:
     return 0
 
 
-def cmd_find(args, argv) -> int:
+def cmd_find(args) -> int:
     g = _read_graph(args.input)
     seed = _seed(args)
     if args.mode == "c2k":
@@ -106,7 +120,7 @@ def cmd_find(args, argv) -> int:
     return 0 if report.success else 2
 
 
-def cmd_verify(args, argv) -> int:
+def cmd_verify(args) -> int:
     g = _read_graph(args.input)
     with open(args.cycles) as fh:
         payload = json.load(fh)
@@ -126,7 +140,7 @@ def cmd_verify(args, argv) -> int:
     return 0
 
 
-def cmd_spectrum(args, argv) -> int:
+def cmd_spectrum(args) -> int:
     g = _read_graph(args.input)
     try:
         spec = enumerate_cycles(g, args.max_len, budget=args.budget)
@@ -153,7 +167,7 @@ def _sweep_trial(params: tuple) -> tuple[float, bool, Optional[int], Optional[fl
     return d, False, None, None
 
 
-def cmd_sweep(args, argv) -> int:
+def cmd_sweep(args) -> int:
     seed = _seed(args)
     rng = random.Random(seed)
     points = args.points
@@ -193,7 +207,7 @@ def cmd_sweep(args, argv) -> int:
     return 0
 
 
-def cmd_mert(args, argv) -> int:
+def cmd_mert(args) -> int:
     g = _read_graph(args.input)
     sub, partition = r_partite_reduction(g, seed=_seed(args))
     root = max_degree_root(sub) if args.root is None else args.root
@@ -275,12 +289,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        if args.config:
+            args = ap.parse_args(_config_argv(ap, argv, args.config))
     except SystemExit as exc:
         # argparse exits 2 on a usage error; 2 here means an honest failure
         return 1 if exc.code else 0
     try:
-        _apply_config(args, argv)
-        return args.func(args, argv)
+        return args.func(args)
     except (OSError, json.JSONDecodeError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 1

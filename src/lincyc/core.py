@@ -17,6 +17,7 @@ from typing import Iterable, Literal, Optional, Sequence
 from .errors import (
     DuplicatePair,
     InvalidWitness,
+    InvariantViolation,
     MalformedInput,
     NonUniformEdge,
     NotPartite,
@@ -300,7 +301,7 @@ class ColoredGraph:
 def project(g: LinearHypergraph, partition: RPartition, i: int, j: int) -> ColoredGraph:
     """The (A_i,A_j)-projection: each hyperedge becomes the 2-edge of its A_i
     and A_j vertices, colored by the remaining (r-2)-set.  The hyperedge-to-
-    2-edge map is bijective on linear inputs, which the construction asserts.
+    2-edge map is bijective on linear inputs, which the construction checks.
     """
     partition.check(g)
     ai, aj = partition.parts[i], partition.parts[j]
@@ -311,7 +312,8 @@ def project(g: LinearHypergraph, partition: RPartition, i: int, j: int) -> Color
         u = next(v for v in e if v in ai)
         w = next(v for v in e if v in aj)
         p = _pair(u, w)
-        assert p not in color, "projection must be bijective on a linear graph"
+        if p in color:
+            raise InvariantViolation("projection must be bijective on a linear graph")
         edges.append(p)
         color[p] = frozenset(v for v in e if v not in (u, w))
         source[p] = e

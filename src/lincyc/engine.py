@@ -28,6 +28,7 @@ from .errors import (
     BudgetExceeded,
     EmptyCore,
     InvalidWitness,
+    InvariantViolation,
     LincycError,
     NotEnoughDensity,
     NotFound,
@@ -202,7 +203,8 @@ def transversal_cleanup(
         if len(kept) >= target and kept:
             out = h.edge_induced(kept)
             for m in members:
-                assert len(out.vertices & set(m)) <= 1
+                if len(out.vertices & set(m)) > 1:
+                    raise InvariantViolation(f"cleanup kept two vertices of {sorted(m)}")
             return out
     raise RetriesExhausted(
         f"cleanup kept at most {best} edges, needed {target:.1f}", attempts
@@ -313,7 +315,8 @@ def cycles_from_boundary(
     ys = frozenset(v for v in partition.parts[side] if v in vht)
     dprime = [e for e in d_edges if lt1.intersection(e) and ys.intersection(e)]
     b = project(g.edge_induced(dprime), partition, ell, side)
-    assert len(b.edges) == len(dprime)
+    if len(b.edges) != len(dprime):
+        raise InvariantViolation("boundary projection lost edges")
     bprime = dense_connected(b)
     s = sorted(bprime.vertices & lt1)
     if len(s) < 2:
@@ -328,11 +331,13 @@ def cycles_from_boundary(
         raise NotFound("a label class has no projection edges")
     path = rainbow_special_path(bprime, e1, e2, 2 * k, best_effort=True)
     a1 = path[0]
-    assert a1 in lt1 and bundle.labels[a1] == 1
+    if a1 not in lt1 or bundle.labels[a1] != 1:
+        raise InvariantViolation(f"rainbow path starts at {a1}, not a label-1 anchor")
     cycles = []
     for i in range(2, k + 2):
         ai = path[2 * (i - 1)]
-        assert bundle.labels[ai] == 2
+        if bundle.labels[ai] != 2:
+            raise InvariantViolation(f"rainbow path vertex {ai} is not labelled 2")
         p_edges = _expand_projection(bprime, path[: 2 * (i - 1) + 1])
         q_edges = list(expand_tree_path(mert, bundle.union_path(a1, ai)).edges)
         cycles.append(verify_cycle(g, q_edges + list(reversed(p_edges))))
@@ -396,7 +401,8 @@ def cycles_from_internal(
     pi, pj = max(sorted(pair_count), key=lambda key: (pair_count[key], (-key[0], -key[1])))
     f2 = [e for e in fprime.edges if pi in eligible[e] and pj in eligible[e]]
     b = project(g.edge_induced(f2), partition, pi, pj)
-    assert len(b.edges) == len(f2)
+    if len(b.edges) != len(f2):
+        raise InvariantViolation("internal projection lost edges")
     bstar = dense_connected(b)
     s = sorted({vof[y] for y in bstar.vertices})
     if len(s) < 2:
@@ -479,7 +485,7 @@ def even_consecutive_cycles(
                     gd, partition, mert, t, k, seed, best_effort=not strict
                 )
                 fam = _even_subfamily(fam, k)
-        except (LincycError, AssertionError) as err:
+        except LincycError as err:
             trace.append({"stage": kind, "t": t, "status": "failed", "reason": str(err)})
             continue
         trace.append({"stage": kind, "status": "fired", **info})
@@ -556,7 +562,7 @@ def consecutive_cycles(
     for x in sorted(anc.subgraph.vertices & anc.anchors):
         try:
             fam = pan_connected(anc.subgraph, x, k, seed, best_effort=not strict)
-        except (LincycError, AssertionError) as err:
+        except LincycError as err:
             trace.append({"stage": "pan-connected", "x": x, "status": "failed",
                           "reason": str(err)})
             continue

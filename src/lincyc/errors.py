@@ -99,6 +99,11 @@ class TooLarge(LincycError):
     pass
 
 
+class InvariantViolation(LincycError):
+    """An internal consistency check failed: a bug in lincyc, not bad input.
+    Raised where an ``assert`` would be, so ``python -O`` keeps the check."""
+
+
 class NotEnoughDensity(LincycError):
     """A cycle-assembly stage found fewer edges than its threshold demands."""
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .core import LinearHypergraph, LinearPath, Pair, RPartition, _pair, verify_path
-from .errors import PreconditionFailed, SingletonS
+from .errors import InvariantViolation, PreconditionFailed, SingletonS
 
 
 @dataclass
@@ -212,25 +212,31 @@ def _check_invariants(m: Mert) -> None:
     tv = m.tree_vertices
     seen: set[int] = set()
     for p, c in m.chi.items():
-        assert not (c & tv), "tree coloring touches a tree vertex"
-        assert not (c & seen), "tree coloring is not rainbow"
+        if c & tv:
+            raise InvariantViolation("tree coloring touches a tree vertex")
+        if c & seen:
+            raise InvariantViolation("tree coloring is not rainbow")
         seen |= c
     pm = m.partition.index_map()
     for i, lvl in enumerate(m.levels):
-        assert len({pm[v] for v in lvl}) <= 1, f"level {i} spans two classes"
-        if lvl:
-            assert pm[min(lvl)] == m.part_of_level[i]
+        if len({pm[v] for v in lvl}) > 1:
+            raise InvariantViolation(f"level {i} spans two classes")
+        if lvl and pm[min(lvl)] != m.part_of_level[i]:
+            raise InvariantViolation(f"level {i} is not in its recorded class")
     for i, match in m.matchings.items():
         flat: set[int] = set()
         for t in match:
-            assert not (set(t) & flat), f"matching {i} members overlap"
+            if set(t) & flat:
+                raise InvariantViolation(f"matching {i} members overlap")
             flat |= set(t)
     for i in range(2, m.height + 1):
         prev_level = m.levels[i - 1]
         early = m.cumulative_vertices(i - 2)
         for e in m.segment_edges(i):
-            assert len(prev_level.intersection(e)) == 1, "segment edge misses its level"
-            assert not (early.intersection(e)), "segment edge reaches back"
+            if len(prev_level.intersection(e)) != 1:
+                raise InvariantViolation("segment edge misses its level")
+            if early.intersection(e):
+                raise InvariantViolation("segment edge reaches back")
 
 
 def expand_tree_path(m: Mert, q: Sequence[int]) -> LinearPath:
@@ -268,7 +274,8 @@ class TreePathBundle:
         left = list(reversed(self.paths[u]))
         out = left + self.paths[v][1:]
         inner = set(out[1:-1])
-        assert not (inner & set(self.labels)), "union path re-enters S"
+        if inner & set(self.labels):
+            raise InvariantViolation("union path re-enters S")
         return out
 
 
@@ -292,5 +299,6 @@ def anchor_and_label(m: Mert, s: Iterable[int]) -> TreePathBundle:
         raise SingletonS("all vertices descend through one child")
     x1 = min(children)
     labels = {v: (1 if paths[v][1] == x1 else 2) for v in sv}
-    assert set(labels.values()) == {1, 2}
+    if set(labels.values()) != {1, 2}:
+        raise InvariantViolation("labels do not split S into two classes")
     return TreePathBundle(anchor, j, labels, paths)

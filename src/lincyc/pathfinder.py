@@ -17,6 +17,7 @@ from typing import Iterable, Optional, Sequence
 from .core import ColoredGraph, LinearHypergraph, LinearPath, Pair, _pair, verify_path
 from .errors import (
     EmptyCore,
+    InvariantViolation,
     NotFound,
     PreconditionFailed,
     RetriesExhausted,
@@ -248,7 +249,8 @@ def path_with_part(
         if len(path) >= target:
             lp = verify_path(f, path)
             connectors = set(lp.connectors())
-            assert not (connectors & a), "anchor with path degree two"
+            if connectors & a:
+                raise InvariantViolation("anchor with path degree two")
             return lp
     raise NotFound(f"no anchored path of length {target} found")
 

@@ -3,12 +3,16 @@ by linear-path distance, first-order d-minimal subgraphs, and the random
 r-partite reduction.
 
 All randomized operations take an explicit seed and are deterministic given
-it.  Peeling always removes the lowest-indexed minimum-degree vertex so runs
-are reproducible.
+it.  The three peeling routines share one rule, `_peel`: delete the live vertex
+of least (live degree, id) until it meets a stop rule.  Each stop rule is
+monotone in the degree, so the least vertex can go exactly when any vertex
+can, and a lazy min-heap deletes the same vertices in the same order as a
+rescan of every live vertex (Matula-Beck smallest-last, Batagelj-Zaversnik).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from collections import deque
@@ -16,39 +20,56 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import LinearHypergraph, LinearPath, Pair, RPartition, _pair
-from .errors import EmptyCore, PreconditionFailed, RetriesExhausted
+from .errors import EmptyCore, InvariantViolation, PreconditionFailed, RetriesExhausted
 
 
-# -- minimum-degree core (hypergraph) ----------------------------------------
+# -- smallest-last peeling and the minimum-degree core -------------------------
+
+
+def _peel(edges, incident, vertices, stop) -> tuple[list[int], set[int], list[bool]]:
+    """Delete the live vertex of least (live degree, id), with its edges
+    (incident maps a vertex to edge ids), until stop(degree, alive count, live
+    edge count) holds for it.  Returns the deletion order, the survivors and a
+    live-edge mask."""
+    deg = {v: len(incident.get(v, ())) for v in vertices}
+    alive = set(deg)
+    live = [True] * len(edges)
+    e_count = len(edges)
+    heap = [(k, v) for v, k in deg.items()]
+    heapq.heapify(heap)
+    order: list[int] = []
+    while heap:
+        k, v = heapq.heappop(heap)
+        if v not in alive or k != deg[v]:
+            continue  # stale: v was deleted or its degree has dropped since
+        if stop(k, len(alive), e_count):
+            break
+        alive.discard(v)
+        order.append(v)
+        for eid in incident.get(v, ()):
+            if live[eid]:
+                live[eid] = False
+                e_count -= 1
+                for u in edges[eid]:
+                    if u != v:
+                        deg[u] -= 1
+                        heapq.heappush(heap, (deg[u], u))
+    return order, alive, live
 
 
 def min_degree_subgraph(g: LinearHypergraph, d: float) -> LinearHypergraph:
-    """Induced subgraph of minimum degree >= d/r, by iterated deletion of
-    low-degree vertices.  Nonempty whenever d <= d(g)."""
+    """Induced subgraph of minimum degree >= d/r: peel the support while the
+    least degree is below d/r.  The surviving edges are the unique such core,
+    whatever the deletion order.  Nonempty whenever d <= d(g)."""
     if d > g.average_degree():
         raise EmptyCore(f"threshold {d} exceeds average degree {g.average_degree()}")
-    alive = set(g.support())
-    deg = {v: g.degree(v) for v in alive}
-    edge_alive = [True] * len(g.edges)
-    changed = True
-    while changed:
-        changed = False
-        victims = sorted(v for v in alive if deg[v] * g.r < d)
-        for v in victims:
-            if v not in alive or deg[v] * g.r >= d:
-                continue
-            alive.discard(v)
-            changed = True
-            for eid in g.incident.get(v, ()):
-                if edge_alive[eid]:
-                    edge_alive[eid] = False
-                    for u in g.edges[eid]:
-                        deg[u] -= 1
-    kept = [e for eid, e in enumerate(g.edges) if edge_alive[eid]]
+    _, _, live = _peel(g.edges, g.incident, g.support(), lambda k, a, e: k * g.r >= d)
+    kept = [e for e, ok in zip(g.edges, live) if ok]
     if not kept:
         raise EmptyCore("peeling removed every edge")
     core = g.induced(frozenset(v for e in kept for v in e))
-    assert core.min_degree() * g.r >= d
+    if core.min_degree() * g.r < d:
+        raise InvariantViolation("core minimum degree below the peeling threshold")
     return core
 
 
@@ -68,24 +89,18 @@ class PeelResult:
 
 
 def degenerate_ordering(edges: Iterable[Pair], d: float) -> PeelResult:
+    """Smallest-last ordering of a 2-graph: peel while the least vertex has
+    fewer than d live neighbors, then append the core in id order."""
     es = sorted(set(_pair(*e) for e in edges))
-    adj: dict[int, set[int]] = {}
-    for u, v in es:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    alive = set(adj)
-    deleted: list[int] = []
-    while alive:
-        low = [v for v in alive if len(adj[v] & alive) < d]
-        if not low:
-            break
-        v = min(low, key=lambda v: (len(adj[v] & alive), v))
-        deleted.append(v)
-        alive.discard(v)
+    incident: dict[int, list[int]] = {}
+    for eid, e in enumerate(es):
+        for v in set(e):  # a loop (v, v) is one edge of v, as in an adjacency set
+            incident.setdefault(v, []).append(eid)
+    deleted, alive, live = _peel(es, incident, incident, lambda k, a, e: k >= d)
     if not alive:
         raise EmptyCore(f"no core of minimum degree {d}")
     ordering = deleted + sorted(alive)
-    core_edges = tuple(e for e in es if e[0] in alive and e[1] in alive)
+    core_edges = tuple(e for e, ok in zip(es, live) if ok)
     return PeelResult(ordering, len(deleted), frozenset(alive), core_edges)
 
 
@@ -129,7 +144,8 @@ class BfsLayers:
             cur = self.parent_vertex[cur]
         edges.reverse()
         path = LinearPath(tuple(edges), (self.root, v) if edges else None)
-        assert path.length == self.dist[v]
+        if path.length != self.dist[v]:
+            raise InvariantViolation(f"path to {v} does not match its BFS distance")
         return path
 
 
@@ -160,33 +176,16 @@ def d_minimal(g: LinearHypergraph, d: float) -> LinearHypergraph:
     """First-order d-minimal induced subgraph: average degree >= d, and
     removing any single vertex drops the average degree below d.
 
-    Descends by repeatedly deleting the lowest-indexed minimum-degree vertex
-    whose removal keeps the average degree at d or above.
+    Peels the vertex set while deleting the least-degree vertex keeps the
+    average degree at d or above, that is while r(e - deg) >= d(alive - 1).
     """
     if g.average_degree() < d:
         raise PreconditionFailed(f"average degree {g.average_degree()} below {d}")
-    alive = set(g.vertices)
-    deg = {v: g.degree(v) for v in alive}
-    edge_alive = [True] * len(g.edges)
-    e_count = len(g.edges)
-
-    def removable(v: int) -> bool:
-        return len(alive) > 1 and g.r * (e_count - deg[v]) >= d * (len(alive) - 1)
-
-    while True:
-        cands = [v for v in alive if removable(v)]
-        if not cands:
-            break
-        v = min(cands, key=lambda v: (deg[v], v))
-        alive.discard(v)
-        for eid in g.incident.get(v, ()):
-            if edge_alive[eid]:
-                edge_alive[eid] = False
-                e_count -= 1
-                for u in g.edges[eid]:
-                    deg[u] -= 1
+    _, alive, _ = _peel(g.edges, g.incident, g.vertices,
+                        lambda k, a, e: a <= 1 or g.r * (e - k) < d * (a - 1))
     out = g.induced(frozenset(alive))
-    assert out.average_degree() >= d
+    if out.average_degree() < d:
+        raise InvariantViolation("d-minimal subgraph has average degree below d")
     return out
 
 

@@ -50,6 +50,42 @@ def test_gen_config_file_with_flag_override(tmp_path, capsys):
     assert enumerate_cycles(g, 6).lengths == {4}
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"func": 1},
+        [1, 2],
+        {"seed": "abc"},
+        {"mode": "bogus"},
+        {"best_effort": True, "epsilon": 0.1},
+        {"k": [2]},
+    ],
+    ids=["not-a-flag", "list", "bad-int", "bad-choice", "removed-flags", "list-value"],
+)
+def test_bad_config_exits_one(tmp_path, capsys, config):
+    graph = tmp_path / "g.txt"
+    graph.write_text("3 3 1\n0 1 2\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(
+        ["find", "--input", str(graph), "--k", "2", "--config", str(cfg)], capsys
+    )
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+
+
+def test_config_switch_and_value_apply_like_flags(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("3 3 1\n0 1 2\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"json": True, "strict": False, "seed": 5}))
+    code, out, _ = run(
+        ["find", "--input", str(graph), "--k", "2", "--config", str(cfg)], capsys
+    )
+    assert code == 2
+    assert json.loads(out)["seed"] == 5
+
+
 # -- find / verify -----------------------------------------------------------------------
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from lincyc import (
     EmptyCore,
+    LincycError,
     PreconditionFailed,
     bfs_layers,
     boundary_lower_bound_check,
@@ -21,6 +22,7 @@ from lincyc import (
     min_degree_subgraph,
     r_partite_reduction,
 )
+from lincyc.reductions import PeelResult
 from conftest import FANO_LINES
 
 
@@ -247,3 +249,107 @@ def test_partite_reduction_random_triples():
         sub, part = r_partite_reduction(g, seed=seed)
         assert sub.num_edges() >= (2.0 / 9.0) * g.num_edges()
         part.check(sub)
+
+
+# -- the shared peel against a naive rescan -----------------------------------------
+#
+# The reference below is the rule all three routines state: rescan every live
+# vertex after each deletion and delete the least (live degree, id) vertex that
+# fails the stop rule.  _rainbow_by_proof reads the deletion order through its
+# positions, so the ordering itself is compared, not just a property of it.
+
+
+def naive_peel(edges, vertices, stop):
+    alive, live, order = set(vertices), [True] * len(edges), []
+
+    def degree(v):
+        return sum(1 for i, e in enumerate(edges) if live[i] and v in e)
+
+    while alive:
+        e_count = sum(live)
+        cands = [v for v in alive if not stop(degree(v), len(alive), e_count)]
+        if not cands:
+            break
+        v = min(cands, key=lambda v: (degree(v), v))
+        alive.discard(v)
+        order.append(v)
+        for i, e in enumerate(edges):
+            if v in e:
+                live[i] = False
+    return order, alive, live
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except LincycError as err:
+        return type(err), str(err)
+
+
+@st.composite
+def linear_graphs(draw):
+    """A greedy packing, thinned by a drawn mask, on a vertex range with up
+    to three more vertices that no edge touches."""
+    r = draw(st.sampled_from([3, 4]))
+    n = draw(st.integers(min_value=r, max_value=14))
+    base = greedy_partial_steiner(n, r, seed=draw(st.integers(0, 10**6)), effort=2.0)
+    keep = draw(st.lists(st.booleans(), min_size=base.num_edges(), max_size=base.num_edges()))
+    edges = [e for e, k in zip(base.edges, keep) if k]
+    g = build(n + draw(st.integers(min_value=0, max_value=3)), r, edges)
+    # thresholds at the average degree, on a quarter grid, and at d = r*k where
+    # a vertex of degree exactly k sits on the stop rule's boundary
+    quarter = draw(st.integers(min_value=0, max_value=4 * (r + 2))) / 4
+    boundary = r * draw(st.integers(min_value=1, max_value=3))
+    return g, draw(st.sampled_from([g.average_degree(), quarter, boundary]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_graphs())
+def test_hypergraph_peels_match_naive_rescan(case):
+    g, d = case
+
+    def naive_core():
+        if d > g.average_degree():
+            raise EmptyCore(f"threshold {d} exceeds average degree {g.average_degree()}")
+        _, _, live = naive_peel(g.edges, g.support(), lambda k, a, e: k * g.r >= d)
+        kept = [e for e, ok in zip(g.edges, live) if ok]
+        if not kept:
+            raise EmptyCore("peeling removed every edge")
+        return g.induced(frozenset(v for e in kept for v in e))
+
+    got, want = outcome(min_degree_subgraph, g, d), outcome(naive_core)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.edges == want.edges
+
+    if g.average_degree() < d:
+        with pytest.raises(PreconditionFailed):
+            d_minimal(g, d)
+        return
+    _, alive, _ = naive_peel(
+        g.edges, g.vertices, lambda k, a, e: a <= 1 or g.r * (e - k) < d * (a - 1)
+    )
+    got = d_minimal(g, d)
+    assert got.vertices == frozenset(alive)
+    assert got.edges == g.induced(alive).edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 19), st.integers(0, 19)).filter(lambda p: p[0] != p[1]),
+        max_size=60,
+    ),
+    st.integers(min_value=0, max_value=24).map(lambda x: x / 4),
+)
+def test_degenerate_ordering_matches_naive_rescan(pairs, d):
+    es = sorted({(min(p), max(p)) for p in pairs})
+    vertices = {v for e in es for v in e}
+    order, alive, live = naive_peel(es, vertices, lambda k, a, e: k >= d)
+    got = outcome(degenerate_ordering, pairs, d)
+    if not alive:
+        assert got == (EmptyCore, f"no core of minimum degree {d}")
+        return
+    core_edges = tuple(e for e, ok in zip(es, live) if ok)
+    assert got == PeelResult(order + sorted(alive), len(order), frozenset(alive), core_edges)
