@@ -503,8 +503,10 @@ def even_consecutive_cycles(
 
 
 def _even_subfamily(fam: CycleFamily, k: int) -> CycleFamily:
+    """The k even members of an internal family.  Its lengths 2m+1..2m+2k
+    (m <= t) start by its bound 2t+1, so the even ones start by 2t+2."""
     evens = sorted((c for c in fam.cycles if c.length % 2 == 0), key=lambda c: c.length)
-    out = CycleFamily(evens[:k], "EVEN", bound=fam.bound)
+    out = CycleFamily(evens[:k], "EVEN", bound=fam.bound + 1)
     out.validate()
     return out
 

@@ -8,6 +8,12 @@ of least (live degree, id) until it meets a stop rule.  Each stop rule is
 monotone in the degree, so the least vertex can go exactly when any vertex
 can, and a lazy min-heap deletes the same vertices in the same order as a
 rescan of every live vertex (Matula-Beck smallest-last, Batagelj-Zaversnik).
+
+The r-partite reduction (Erdős–Kleitman) hill-climbs a random balanced
+r-partition one vertex at a time until the transversal edges reach r!/r^r of
+e(G).  One tally over a vertex's edges prices its moves to every class, and a
+vertex none of whose neighbours moved since it was last priced is skipped, so
+the climb takes the same steps as re-pricing every vertex on every sweep.
 """
 
 from __future__ import annotations
@@ -201,20 +207,39 @@ def boundary_lower_bound_check(g: LinearHypergraph, subset: Iterable[int], d: fl
 
 # -- r-partite reduction (Erdős–Kleitman) -------------------------------------
 
+RESTARTS = 64
 
-def _partite_edge_count(g: LinearHypergraph, part_of: dict[int, int]) -> int:
+
+def _transversals(g: LinearHypergraph, part_of: dict[int, int]) -> list[tuple[int, ...]]:
+    """The edges that meet every class of part_of exactly once."""
     r = g.r
-    return sum(1 for e in g.edges if len({part_of[v] for v in e}) == r)
+    return [e for e in g.edges if len({part_of[v] for v in e}) == r]
 
 
 def r_partite_reduction(
     g: LinearHypergraph,
     seed: int = 0,
     partition_hint: Optional[RPartition] = None,
-    restarts: int = 64,
 ) -> tuple[LinearHypergraph, RPartition]:
     """Random balanced r-partition plus single-vertex hill climbing until the
-    partite subgraph keeps at least (r!/r^r) e(G) edges."""
+    partite subgraph keeps at least (r!/r^r) e(G) edges.
+
+    A hint that covers V(g) and already meets the target is used as it is.
+    Otherwise each of up to RESTARTS attempts shuffles a balanced labelling
+    and sweeps the vertices in id order until a sweep moves none.  A sweep
+    moves v to the first class that gains the most transversal edges at v,
+    if any class gains at least one.
+
+    Moving v changes only v's edges, and an edge at v is a transversal with v
+    in class p exactly when its other r - 1 vertices sit in distinct classes
+    none of which is p.  Distinct classes from 0..r-1 miss exactly one, whose
+    index is r(r-1)/2 minus their sum, so each edge adds one to the tally of
+    at most one class, and the gain of class p is tally[p] - tally[v's class]:
+    one pass over v's edges prices every move.  The tally depends only on the
+    classes of v's neighbours, so a vertex that stayed put stays put until a
+    neighbour moves; such clean vertices are skipped, which leaves the order
+    of moves, and so the result, that of re-evaluating every vertex.
+    """
     r = g.r
     target = math.factorial(r) / r**r * len(g.edges)
     verts = sorted(g.vertices)
@@ -222,53 +247,60 @@ def r_partite_reduction(
 
     if partition_hint is not None:
         part_of = partition_hint.index_map()
-        if all(v in part_of for v in verts):
-            count = _partite_edge_count(g, part_of)
-            if count >= target:
-                return _finish_partition(g, part_of)
+        if all(v in part_of for v in verts) and len(_transversals(g, part_of)) >= target:
+            return _finish_partition(g, part_of)
 
-    for _ in range(restarts):
+    # the other r - 1 vertices of each edge at v
+    others: dict[int, list[tuple[int, ...]]] = {v: [] for v in verts}
+    for e in g.edges:
+        for i, v in enumerate(e):
+            others[v].append(e[:i] + e[i + 1 :])
+    full = r * (r - 1) // 2
+    for _ in range(RESTARTS):
         labels = [i % r for i in range(len(verts))]
         rng.shuffle(labels)
         part_of = dict(zip(verts, labels))
-        count = _partite_edge_count(g, part_of)
+        count = len(_transversals(g, part_of))
+        dirty = set(verts)
         improved = True
         # climb to a local maximum even after clearing the target: partite
         # edges are scarce at higher r and downstream stages want every one
         while improved:
             improved = False
             for v in verts:
-                base = part_of[v]
-                best_gain, best_part = 0, base
-                local = [eid for eid in g.incident.get(v, ())]
-                before = sum(
-                    1 for eid in local
-                    if len({part_of[u] for u in g.edges[eid]}) == r
-                )
+                if v not in dirty:
+                    continue
+                dirty.discard(v)
+                tally = [0] * r
+                if r == 3:  # the same rule unrolled for pairs, the common case
+                    for a, b in others[v]:
+                        pa, pb = part_of[a], part_of[b]
+                        if pa != pb:
+                            tally[full - pa - pb] += 1
+                else:
+                    for rest in others[v]:
+                        classes = {part_of[u] for u in rest}
+                        if len(classes) == r - 1:
+                            tally[full - sum(classes)] += 1
+                here = tally[part_of[v]]
+                best_gain, best_part = 0, None
                 for p in range(r):
-                    if p == base:
-                        continue
-                    part_of[v] = p
-                    after = sum(
-                        1 for eid in local
-                        if len({part_of[u] for u in g.edges[eid]}) == r
-                    )
-                    if after - before > best_gain:
-                        best_gain, best_part = after - before, p
-                part_of[v] = best_part
-                if best_gain > 0:
+                    if tally[p] - here > best_gain:
+                        best_gain, best_part = tally[p] - here, p
+                if best_gain:
+                    part_of[v] = best_part
                     count += best_gain
                     improved = True
-                else:
-                    part_of[v] = base
+                    for rest in others[v]:
+                        dirty.update(rest)
         if count >= target:
             return _finish_partition(g, part_of)
-    raise RetriesExhausted("r-partite reduction below the r!/r^r guarantee", restarts)
+    raise RetriesExhausted("r-partite reduction below the r!/r^r guarantee", RESTARTS)
 
 
 def _finish_partition(g: LinearHypergraph, part_of: dict[int, int]):
     r = g.r
-    kept = [e for e in g.edges if len({part_of[v] for v in e}) == r]
+    kept = _transversals(g, part_of)
     parts = tuple(
         frozenset(v for v, p in part_of.items() if p == i) for i in range(r)
     )

@@ -10,6 +10,8 @@ import pytest
 
 from lincyc import (
     Constants,
+    CycleFamily,
+    LinearCycle,
     NotFound,
     PreconditionFailed,
     RPartition,
@@ -22,7 +24,7 @@ from lincyc import (
     transversal_cleanup,
     verify_cycle,
 )
-from lincyc.engine import bound_all, bound_even, dense_connected, layer_cap
+from lincyc.engine import _even_subfamily, bound_all, bound_even, dense_connected, layer_cap
 from conftest import difference_projection
 
 
@@ -223,6 +225,25 @@ def test_find_exact_even_length():
 def test_find_exact_even_length_via_pipeline(packing150):
     c = find_c2k(packing150, 2, seed=0)
     assert c.length == 4
+
+
+def loose_cycle(length: int) -> LinearCycle:
+    return LinearCycle(tuple(
+        tuple(sorted((2 * i, 2 * i + 1, (2 * i + 2) % (2 * length)))) for i in range(length)
+    ))
+
+
+@pytest.mark.parametrize("t,k", [(1, 2), (5, 2), (4, 3)])
+def test_even_subfamily_of_internal_family_at_m_equal_t(t, k):
+    # cycles_from_internal returns lengths 2m+1..2m+2k (m <= t) under bound
+    # 2t+1; at m = t the even members run from 2t+2
+    fam = CycleFamily([loose_cycle(2 * t + i) for i in range(1, 2 * k + 1)], "ALL",
+                      bound=2 * t + 1)
+    fam.validate()
+    even = _even_subfamily(fam, k)
+    assert even.parity == "EVEN"
+    assert even.lengths == list(range(2 * t + 2, 2 * t + 2 * k + 1, 2))
+    assert even.bound == 2 * t + 2
 
 
 def test_find_exact_even_length_missing():

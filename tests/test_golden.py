@@ -8,6 +8,9 @@ the affected hashes and says so in CHANGES.md.
 The report corpus is one greedy packing on 150 vertices plus three thinnings
 of it to average degree 4, 8 and 16.  It covers boundary firings, internal
 failure traces and closure firings of the all-lengths pipeline.
+
+The r-partite reduction is also pinned on its own, at r = 3, 4 and 5, with
+one sparse n = 2000, d = 6 instance like the even pipeline's largest inputs.
 """
 
 from __future__ import annotations
@@ -37,17 +40,18 @@ def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@functools.lru_cache(maxsize=None)
-def instance(name: str) -> LinearHypergraph:
-    """"full" is the packing; "dD" keeps each packing edge with probability
-    D*n/(r*e) under random.Random(D)."""
-    base = greedy_partial_steiner(150, 3, seed=0, effort=1.0)
-    if name == "full":
-        return base
-    d = int(name[1:])
+def thinned(base: LinearHypergraph, d: int) -> LinearHypergraph:
+    """Keep each edge of base with probability d*n/(r*e) under random.Random(d)."""
     rng = random.Random(d)
     p = min(1.0, d * base.n / (base.r * base.num_edges()))
     return LinearHypergraph(base.n, base.r, [e for e in base.edges if rng.random() < p])
+
+
+@functools.lru_cache(maxsize=None)
+def instance(name: str) -> LinearHypergraph:
+    """"full" is the packing; "dD" is the packing thinned to degree about D."""
+    base = greedy_partial_steiner(150, 3, seed=0, effort=1.0)
+    return base if name == "full" else thinned(base, int(name[1:]))
 
 
 def report_digest(pipeline: str, name: str) -> str:
@@ -66,6 +70,28 @@ def mert_digest(name: str, seed: int, explicit_root: bool, tmp_path, capsys) -> 
         argv += ["--root", str(max(sub.vertices))]
     assert cli.main(argv) == 0
     return sha(capsys.readouterr().out)
+
+
+PARTITE_SEEDS = range(4)
+# name -> (n, r, packing effort, thinned average degree); the packing seed is n
+PARTITE_INSTANCES = {
+    "r3-n2000-d6": (2000, 3, 8 * 6.0 / (3 * 1999), 6),
+    "r3-n300-d8": (300, 3, 1.0, 8),
+    "r4-n100-d8": (100, 4, 1.0, 8),
+    "r4-n400-d16": (400, 4, 1.0, 16),
+    "r5-n80-d6": (80, 5, 1.0, 6),
+    "r5-n200-d12": (200, 5, 1.0, 12),
+}
+
+
+def partite_digest(name: str) -> str:
+    n, r, effort, d = PARTITE_INSTANCES[name]
+    g = thinned(greedy_partial_steiner(n, r, seed=n, effort=effort), d)
+    out = []
+    for seed in PARTITE_SEEDS:
+        sub, partition = r_partite_reduction(g, seed)
+        out.append(sub.to_text() + repr([sorted(part) for part in partition.parts]))
+    return sha("\n".join(out))
 
 
 GEN_SPECS = {
@@ -113,6 +139,15 @@ GEN_HASHES = {
     'steiner-1': '139f15e580387bb1b48eb3cc59358e59712d4ee83fb00cd5643640d1dfcbfb7e',
 }
 
+PARTITE_HASHES = {
+    'r3-n2000-d6': 'fed1072ffb1b28d96a727a2c5621e6f72b3c4bdd71b535f86f84c550b2d62472',
+    'r3-n300-d8': '74feb2ef571aa5eda6fabfdd7129a1a42702b8990ca4091279a9664c71003ef9',
+    'r4-n100-d8': '26b0d55260f8c7e647e695e165b73f64c93187dc034d096e448f1d01c866d70c',
+    'r4-n400-d16': '9c93b1d70d900c8778b14aa7e288bf6328cfaff8395b2c72f70104ab579f2dc2',
+    'r5-n80-d6': '3c5767a2cce0b0e413bb99742a3761d086f9b2984855937b19c0dd797513bb44',
+    'r5-n200-d12': 'f078ba6566e33f54f3e67d34f4938b21ee3351d9297b69bf57a650ba73eede0b',
+}
+
 
 @pytest.mark.parametrize("pipeline,name", sorted(REPORT_HASHES))
 def test_report_hashes(pipeline, name):
@@ -123,6 +158,11 @@ def test_report_hashes(pipeline, name):
 def test_mert_dump_hashes(name, seed, explicit_root, tmp_path, capsys):
     got = mert_digest(name, seed, explicit_root, tmp_path, capsys)
     assert got == MERT_HASHES[name, seed, explicit_root]
+
+
+@pytest.mark.parametrize("name", sorted(PARTITE_HASHES))
+def test_partite_reduction_hashes(name):
+    assert partite_digest(name) == PARTITE_HASHES[name]
 
 
 @pytest.mark.parametrize("label", sorted(GEN_HASHES))

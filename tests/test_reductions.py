@@ -4,6 +4,7 @@ first-order density-minimal subgraphs, and the r-partite reduction."""
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,10 @@ from hypothesis import strategies as st
 from lincyc import (
     EmptyCore,
     LincycError,
+    LinearHypergraph,
     PreconditionFailed,
+    RetriesExhausted,
+    RPartition,
     bfs_layers,
     boundary_lower_bound_check,
     build,
@@ -232,8 +236,6 @@ def test_partite_reduction_fano(fano):
 
 
 def test_partite_reduction_uses_hint():
-    from lincyc import RPartition
-
     edges = [(0, 1, 4), (1, 2, 5), (2, 3, 6), (0, 3, 7)]
     g = build(8, 3, edges)
     hint = RPartition(
@@ -353,3 +355,92 @@ def test_degenerate_ordering_matches_naive_rescan(pairs, d):
         return
     core_edges = tuple(e for e, ok in zip(es, live) if ok)
     assert got == PeelResult(order + sorted(alive), len(order), frozenset(alive), core_edges)
+
+
+# -- the partite climb against a naive re-pricing ---------------------------------
+#
+# The reference below is the climb as first written: for each vertex and each
+# other class, move the vertex there and recount the transversal edges at it.
+
+
+def naive_partite(g, seed=0, partition_hint=None, restarts=64):
+    r = g.r
+
+    def count_at(eids, part_of):
+        return sum(1 for eid in eids if len({part_of[u] for u in g.edges[eid]}) == r)
+
+    def finish(part_of):
+        kept = [e for e in g.edges if len({part_of[v] for v in e}) == r]
+        parts = tuple(frozenset(v for v, p in part_of.items() if p == i) for i in range(r))
+        sub = g.edge_induced(kept) if kept else LinearHypergraph(g.n, r, [], vertices=frozenset())
+        return sub, RPartition(parts)
+
+    target = math.factorial(r) / r**r * len(g.edges)
+    verts = sorted(g.vertices)
+    rng = random.Random(seed)
+    if partition_hint is not None:
+        part_of = partition_hint.index_map()
+        if all(v in part_of for v in verts):
+            if count_at(range(len(g.edges)), part_of) >= target:
+                return finish(part_of)
+    for _ in range(restarts):
+        labels = [i % r for i in range(len(verts))]
+        rng.shuffle(labels)
+        part_of = dict(zip(verts, labels))
+        count = count_at(range(len(g.edges)), part_of)
+        improved = True
+        while improved:
+            improved = False
+            for v in verts:
+                base = part_of[v]
+                best_gain, best_part = 0, base
+                local = g.incident.get(v, ())
+                before = count_at(local, part_of)
+                for p in range(r):
+                    if p == base:
+                        continue
+                    part_of[v] = p
+                    after = count_at(local, part_of)
+                    if after - before > best_gain:
+                        best_gain, best_part = after - before, p
+                part_of[v] = best_part
+                if best_gain > 0:
+                    count += best_gain
+                    improved = True
+        if count >= target:
+            return finish(part_of)
+    raise RetriesExhausted("r-partite reduction below the r!/r^r guarantee", restarts)
+
+
+@st.composite
+def partite_cases(draw):
+    """A thinned greedy packing at r in {3, 4, 5} with up to three isolated
+    vertices, a call seed, and a hint that leaves a class empty, so it keeps
+    no edge and falls through to the climb."""
+    r = draw(st.sampled_from([3, 4, 5]))
+    n = draw(st.integers(min_value=r, max_value=24))
+    base = greedy_partial_steiner(n, r, seed=draw(st.integers(0, 10**6)), effort=2.0)
+    keep = draw(st.lists(st.booleans(), min_size=base.num_edges(), max_size=base.num_edges()))
+    g = build(n + draw(st.integers(min_value=0, max_value=3)), r,
+              [e for e, k in zip(base.edges, keep) if k])
+    hint = None
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.integers(0, r - 2), min_size=g.n, max_size=g.n))
+        hint = RPartition(tuple(
+            frozenset(v for v in range(g.n) if labels[v] == i) for i in range(r)))
+    return g, draw(st.integers(0, 10**6)), hint
+
+
+@settings(max_examples=300, deadline=None)
+@given(partite_cases())
+def test_partite_reduction_matches_naive_climb(case):
+    g, seed, hint = case
+    got = outcome(r_partite_reduction, g, seed, hint)
+    want = outcome(naive_partite, g, seed, hint)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    (sub, partition), (want_sub, want_partition) = got, want
+    assert sub.edges == want_sub.edges
+    assert sub.vertices == want_sub.vertices
+    assert partition.parts == want_partition.parts
