@@ -16,9 +16,9 @@ import random
 import sys
 from typing import Optional, Sequence
 
-from .core import LinearHypergraph, verify_cycle
+from .core import LinearHypergraph, _is_edge_list, verify_cycle
 from .engine import consecutive_cycles, even_consecutive_cycles, find_c2k
-from .errors import BudgetExceeded, InvalidWitness, LincycError
+from .errors import BudgetExceeded, InvalidWitness, LincycError, MalformedInput
 from .generators import GenSpec, generate, greedy_partial_steiner
 from .mert import build_mert
 from .oracle import enumerate_cycles
@@ -59,6 +59,27 @@ def _config_argv(ap: argparse.ArgumentParser, argv: list[str], path: str) -> lis
     return argv[:1] + tokens + argv[1:]
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+def _lengths(text: str) -> list[int]:
+    """argparse type: comma-separated cycle lengths such as '3,5'."""
+    try:
+        return [int(x) for x in text.split(",")] if text else []
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
+
+
 def _seed(args: argparse.Namespace) -> int:
     if args.seed is not None:
         return args.seed
@@ -73,7 +94,7 @@ def cmd_gen(args) -> int:
         d=args.d,
         girth_floor=args.girth_floor,
         seed=_seed(args),
-        lengths=[int(x) for x in args.lengths.split(",")] if args.lengths else [],
+        lengths=args.lengths,
         background_density=args.background_density,
     )
     g, witnesses = generate(spec)
@@ -126,6 +147,8 @@ def cmd_verify(args) -> int:
         payload = json.load(fh)
     if isinstance(payload, dict):
         payload = payload.get("cycles", [])
+    if not (isinstance(payload, list) and all(map(_is_edge_list, payload))):
+        raise MalformedInput("cycles JSON must be a list of cycles, each a list of integer edges")
     bad = []
     for idx, edges in enumerate(payload):
         try:
@@ -232,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["steiner", "sparsified", "planted"], default="steiner")
     p.add_argument("--d", type=float, default=4.0)
     p.add_argument("--girth-floor", type=int, default=3)
-    p.add_argument("--lengths", type=str, default="")
+    p.add_argument("--lengths", type=_lengths, default="")
     p.add_argument("--background-density", type=float, default=0.0)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--witnesses-out", type=str, default=None)
@@ -241,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("find", help="run a cycle-family engine")
     p.add_argument("--input", type=str, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_at_least(1), required=True)
     p.add_argument("--mode", choices=["all", "even", "c2k"], default="even")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--json", action="store_true")
@@ -256,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="oracle cycle-length spectrum")
     p.add_argument("--input", type=str, required=True)
-    p.add_argument("--max-len", type=int, default=10)
+    p.add_argument("--max-len", type=_int_at_least(3), default=10)
     p.add_argument("--budget", type=int, default=10**8)
     common(p)
     p.set_defaults(func=cmd_spectrum)
@@ -264,11 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="success rate vs average degree (CSV)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, default=3)
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=_int_at_least(1), default=2)
     p.add_argument("--d-from", type=float, required=True)
     p.add_argument("--d-to", type=float, required=True)
     p.add_argument("--points", type=int, default=10)
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--trials", type=_int_at_least(1), default=5)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--mode", choices=["all", "even"], default="even")
     p.add_argument("--out", type=str, default=None)

@@ -2,9 +2,9 @@
 
 Vertices are dense integer ids 0..n-1.  Edges are stored as sorted tuples,
 deduplicated and ordered lexicographically, so the same edge set always
-produces the same object.  The pair index is built eagerly: linearity checks
-and "the unique edge through a pair" queries are O(1) afterwards.
-All objects are immutable after construction.
+produces the same object.  Only the constructor validates (uniformity, range,
+linearity); `induced` and `edge_induced` cut subgraphs, linear too, from a
+validated parent.  All objects are immutable after construction.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class LinearHypergraph:
     found in a subgraph are witnesses of the original graph verbatim.
     """
 
-    __slots__ = ("n", "r", "edges", "vertices", "pair_index", "incident", "edge_set")
+    __slots__ = ("n", "r", "edges", "vertices", "incident", "edge_set")
 
     def __init__(self, n: int, r: int, edges: Iterable[Iterable[int]],
                  vertices: Optional[Iterable[int]] = None):
@@ -57,21 +57,21 @@ class LinearHypergraph:
         self.r = r
         self.edges: tuple[Edge, ...] = tuple(sorted(norm))
         self.vertices = frozenset(range(n)) if vertices is None else frozenset(vertices)
-        pair_index: dict[Pair, int] = {}
+        first_edge: dict[Pair, int] = {}
+        for eid, e in enumerate(self.edges):
+            for v in e:
+                if not (0 <= v < n) or v not in self.vertices:
+                    raise VertexOutOfRange(v, n)
+            for p in combinations(e, 2):
+                if first_edge.setdefault(p, eid) != eid:
+                    raise DuplicatePair(p, first_edge[p], eid)
+        self._index()
+
+    def _index(self) -> None:
         incident: dict[int, list[int]] = {}
         for eid, e in enumerate(self.edges):
             for v in e:
-                if not (0 <= v < n):
-                    raise VertexOutOfRange(v, n)
-                if v not in self.vertices:
-                    raise VertexOutOfRange(v, n)
                 incident.setdefault(v, []).append(eid)
-            for u, v in combinations(e, 2):
-                p = _pair(u, v)
-                if p in pair_index:
-                    raise DuplicatePair(p, pair_index[p], eid)
-                pair_index[p] = eid
-        self.pair_index = pair_index
         self.incident = {v: tuple(ids) for v, ids in incident.items()}
         self.edge_set = frozenset(self.edges)
 
@@ -99,8 +99,8 @@ class LinearHypergraph:
         return self.min_degree(), self.average_degree(), per
 
     def edge_through(self, u: int, v: int) -> Optional[Edge]:
-        eid = self.pair_index.get(_pair(u, v))
-        return None if eid is None else self.edges[eid]
+        """The edge holding both u and v, or None; O(deg(u) r)."""
+        return next((e for e in self.edges_at(u) if v in e and u != v), None)
 
     def edges_at(self, v: int) -> list[Edge]:
         return [self.edges[i] for i in self.incident.get(v, ())]
@@ -112,8 +112,7 @@ class LinearHypergraph:
 
     def induced(self, subset: Iterable[int]) -> "LinearHypergraph":
         s = frozenset(subset)
-        kept = [e for e in self.edges if all(v in s for v in e)]
-        return LinearHypergraph(self.n, self.r, kept, vertices=s)
+        return self._cut(tuple(e for e in self.edges if all(v in s for v in e)), s)
 
     def edge_induced(self, edges: Iterable[Iterable[int]]) -> "LinearHypergraph":
         kept = [tuple(sorted(e)) for e in edges]
@@ -121,7 +120,14 @@ class LinearHypergraph:
             if e not in self.edge_set:
                 raise InvalidWitness(f"edge {e} is not an edge of the graph")
         verts = frozenset(v for e in kept for v in e)
-        return LinearHypergraph(self.n, self.r, kept, vertices=verts)
+        return self._cut(tuple(sorted(dict.fromkeys(kept))), verts)
+
+    def _cut(self, edges: tuple[Edge, ...], vertices: frozenset[int]) -> "LinearHypergraph":
+        """The subgraph on sorted edges of self and a vertex set covering them."""
+        sub = LinearHypergraph.__new__(LinearHypergraph)
+        sub.n, sub.r, sub.edges, sub.vertices = self.n, self.r, edges, vertices
+        sub._index()
+        return sub
 
     # -- equality / hashing -------------------------------------------------
 

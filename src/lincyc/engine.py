@@ -159,13 +159,14 @@ class EngineReport:
 
 # -- transversal cleanup -------------------------------------------------------
 
+CLEANUP_ATTEMPTS = 400
+
 
 def transversal_cleanup(
     h: LinearHypergraph,
     partition: RPartition,
     matching: Sequence[Sequence[int]],
     seed: int = 0,
-    attempts: int = 400,
 ) -> LinearHypergraph:
     """Subgraph H' keeping at least a (1/(r-1))^{r-1} fraction of the edges in
     which every matching member meets V(H') in at most one vertex.
@@ -193,7 +194,7 @@ def transversal_cleanup(
         return h
     rng = random.Random(seed)
     best = -1
-    for _ in range(attempts):
+    for _ in range(CLEANUP_ATTEMPTS):
         banned: set[int] = set()
         for m in members:
             keep = rng.choice(m)
@@ -207,7 +208,7 @@ def transversal_cleanup(
                     raise InvariantViolation(f"cleanup kept two vertices of {sorted(m)}")
             return out
     raise RetriesExhausted(
-        f"cleanup kept at most {best} edges, needed {target:.1f}", attempts
+        f"cleanup kept at most {best} edges, needed {target:.1f}", CLEANUP_ATTEMPTS
     )
 
 

@@ -21,6 +21,7 @@ from .oracle import enumerate_cycles
 
 # full maximality sweep only when enumerating every r-set is affordable
 SWEEP_LIMIT = 500_000
+SPARSIFY_ATTEMPTS = 20
 
 
 @dataclass
@@ -109,7 +110,6 @@ def high_girth_sparsify(
     d: float,
     m: int,
     seed: int = 0,
-    attempts: int = 20,
 ) -> SparsifyReport:
     """Keep each base edge with probability p = 2rd/n, then delete the
     lexicographically least edge of every linear cycle of length <= m.
@@ -127,7 +127,7 @@ def high_girth_sparsify(
     expected_bound = 2 * (2 * r * d) ** m
     rng = random.Random(seed)
     best: Optional[SparsifyReport] = None
-    for attempt in range(1, attempts + 1):
+    for attempt in range(1, SPARSIFY_ATTEMPTS + 1):
         kept = [e for e in base.edges if rng.random() < p]
         deleted: list[tuple[int, ...]] = []
         if m >= 3:
@@ -152,7 +152,7 @@ def high_girth_sparsify(
         if report.average_degree >= d:
             return report
     raise RetriesExhausted(
-        f"average degree {best.average_degree:.3f} below target {d}", attempts, best
+        f"average degree {best.average_degree:.3f} below target {d}", SPARSIFY_ATTEMPTS, best
     )
 
 

@@ -17,6 +17,7 @@ from .core import ColoredGraph, LinearCycle, LinearHypergraph, Pair
 from .errors import BudgetExceeded, TooLarge
 
 DEFAULT_BUDGET = 10**8
+RAINBOW_MAX_VERTICES = 20
 
 
 @dataclass
@@ -105,9 +106,9 @@ def enumerate_cycles(
     return Spectrum(max_len, lengths, counts if count else {}, complete=True)
 
 
-def girth(g: LinearHypergraph, cap: int, budget: int = DEFAULT_BUDGET) -> Optional[int]:
+def girth(g: LinearHypergraph, cap: int) -> Optional[int]:
     """Smallest linear-cycle length <= cap, or None if there is none."""
-    spec = enumerate_cycles(g, max(cap, 3), budget)
+    spec = enumerate_cycles(g, max(cap, 3))
     short = {l for l in spec.lengths if l <= cap}
     return min(short) if short else None
 
@@ -117,12 +118,11 @@ def rainbow_path_exists(
     e1: Iterable[Pair],
     e2: Iterable[Pair],
     length: int,
-    max_vertices: int = 20,
 ) -> bool:
     """Exhaustive check: is there a strongly rainbow path of the given length
     whose first edge is in E1 and all the others in E2?"""
-    if len(h.vertices) > max_vertices:
-        raise TooLarge(f"{len(h.vertices)} vertices exceeds the cap {max_vertices}")
+    if len(h.vertices) > RAINBOW_MAX_VERTICES:
+        raise TooLarge(f"{len(h.vertices)} vertices exceeds the cap {RAINBOW_MAX_VERTICES}")
     if length < 1:
         raise ValueError("length must be at least 1")
     set1 = {tuple(sorted(e)) for e in e1}

@@ -90,6 +90,8 @@ def _layer_condition(h: LinearHypergraph, lay: BfsLayers, m: int) -> bool:
 
 # -- anchored subgraph (random subsampling with verify-and-retry) --------------
 
+ANCHOR_ATTEMPTS = 200
+
 
 @dataclass
 class AnchoredSubgraph:
@@ -109,7 +111,6 @@ def anchored_subgraph(
     x: int,
     d: float,
     seed: int = 0,
-    attempts: int = 200,
 ) -> AnchoredSubgraph:
     lay = bfs_layers(g, x)
     m, h = dense_layer_subgraph(g, x, d, lay)
@@ -123,7 +124,7 @@ def anchored_subgraph(
     # the even draw is the analysable one; the skewed draws keep far more
     # edges when most of an edge's vertices sit in the target layer
     schedule = [(0.5, 0.5), (1.0 / g.r, 1.0), (0.25, 1.0), (0.35, 0.7)]
-    for attempt in range(attempts):
+    for attempt in range(ANCHOR_ATTEMPTS):
         px, py = schedule[attempt % len(schedule)]
         xs = {v for v in v_m if rng.random() < px}
         good = [e for e in h.edges if len(xs.intersection(e)) == 1]
@@ -187,7 +188,7 @@ def anchored_subgraph(
             break
     if best is not None:
         return best
-    raise RetriesExhausted("anchored subgraph draws kept failing P1-P3", attempts)
+    raise RetriesExhausted("anchored subgraph draws kept failing P1-P3", ANCHOR_ATTEMPTS)
 
 
 def _anchored_ok(f: LinearHypergraph, anchors: frozenset[int], lay: BfsLayers, m: int) -> bool:
@@ -305,6 +306,8 @@ def pan_connected(
 
 # -- strongly rainbow E1/E2 path -----------------------------------------------
 
+RAINBOW_DFS_BUDGET = 500_000  # node expansions of the fallback DFS
+
 
 def _components(adj: dict[int, list[int]]) -> list[set[int]]:
     seen: set[int] = set()
@@ -356,7 +359,6 @@ def rainbow_special_path(
     e2: Iterable[Pair],
     length: int,
     best_effort: bool = False,
-    budget: int = 500_000,
 ) -> list[int]:
     """A strongly rainbow path of the requested length whose first edge lies
     in E1 and all later edges in E2.
@@ -391,7 +393,7 @@ def rainbow_special_path(
 
     witness = _rainbow_by_proof(h, set1, set2, length, r)
     if witness is None:
-        witness = _rainbow_dfs(h, set1, set2, length, budget)
+        witness = _rainbow_dfs(h, set1, set2, length)
     if witness is None:
         raise NotFound(f"no strongly rainbow E1/E2 path of length {length} found")
     check_rainbow_special(h, set1, witness, length)
@@ -520,7 +522,7 @@ def _grow_good_path(h, set2, core, adj_l, path: list[int], length: int) -> Optio
     return path
 
 
-def _rainbow_dfs(h, set1, set2, length, budget) -> Optional[list[int]]:
+def _rainbow_dfs(h, set1, set2, length) -> Optional[list[int]]:
     adj = h.adjacency()
     for v in adj:
         adj[v].sort()
@@ -530,7 +532,7 @@ def _rainbow_dfs(h, set1, set2, length, budget) -> Optional[list[int]]:
             stack = [([u, w], frozenset(h.color[p]))]
             while stack:
                 spent += 1
-                if spent > budget:
+                if spent > RAINBOW_DFS_BUDGET:
                     return None
                 path, colors = stack.pop()
                 if len(path) - 1 == length:

@@ -299,13 +299,11 @@ def r_partite_reduction(
 
 
 def _finish_partition(g: LinearHypergraph, part_of: dict[int, int]):
-    r = g.r
     kept = _transversals(g, part_of)
     parts = tuple(
-        frozenset(v for v, p in part_of.items() if p == i) for i in range(r)
+        frozenset(v for v, p in part_of.items() if p == i) for i in range(g.r)
     )
-    sub = g.edge_induced(kept) if kept else LinearHypergraph(g.n, g.r, [], vertices=frozenset())
-    return sub, RPartition(parts)
+    return g.edge_induced(kept), RPartition(parts)
 
 
 def max_degree_root(g: LinearHypergraph) -> int:

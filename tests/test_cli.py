@@ -179,6 +179,42 @@ def test_usage_error_exits_one(tmp_path, capsys):
     assert run(["find", "--help"], capsys)[0] == 0
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [[1, 2], {"cycles": 5}, [[[0, 1, "a"], [1, 3, 5], [0, 3, 4]]], [[0, 1, 2]]],
+    ids=["list-of-ints", "cycles-not-a-list", "string-vertex", "cycle-of-ints"],
+)
+def test_verify_malformed_cycles_exits_one(tmp_path, capsys, fano, payload):
+    graph = tmp_path / "g.txt"
+    graph.write_text(fano.to_text())
+    cycles = tmp_path / "c.json"
+    cycles.write_text(json.dumps(payload))
+    code, out, err = run(["verify", "--input", str(graph), "--cycles", str(cycles)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: cycles JSON") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--input", "{graph}", "--max-len", "2"],
+        ["find", "--input", "{graph}", "--k", "0"],
+        ["find", "--input", "{graph}", "--mode", "all", "--k", "-1"],
+        ["gen", "--n", "24", "--mode", "planted", "--lengths", "3,x"],
+        ["sweep", "--n", "20", "--d-from", "1", "--d-to", "2", "--trials", "0"],
+        ["sweep", "--n", "20", "--d-from", "1", "--d-to", "2", "--k", "0"],
+    ],
+    ids=["spectrum-max-len", "find-k-zero", "find-k-negative", "gen-lengths",
+         "sweep-trials", "sweep-k"],
+)
+def test_bad_argument_value_is_a_usage_error(tmp_path, capsys, fano, argv):
+    graph = tmp_path / "g.txt"
+    graph.write_text(fano.to_text())
+    code, out, err = run([a.format(graph=graph) for a in argv], capsys)
+    assert code == 1 and out == ""
+    assert f"argument --{argv[-2][2:]}:" in err and "Traceback" not in err
+
+
 def test_edgeless_graph_fails_without_traceback(tmp_path, capsys):
     graph = tmp_path / "g.txt"
     graph.write_text("3 5 0\n")

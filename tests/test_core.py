@@ -72,10 +72,10 @@ def test_build_rejects_bad_edges():
 
 
 def test_pair_index_consistent(fano):
-    for eid, e in enumerate(fano.edges):
+    for e in fano.edges:
         for a in range(3):
             for b in range(a + 1, 3):
-                assert fano.pair_index[(e[a], e[b])] == eid
+                assert fano.edge_through(e[a], e[b]) == e
     assert fano.edge_through(0, 1) == (0, 1, 2)
     assert fano.edge_through(1, 2) == (0, 1, 2)
 
@@ -226,6 +226,62 @@ def test_edge_induced_star(fano):
 def test_edge_induced_rejects_foreign_edge(fano):
     with pytest.raises(InvalidWitness):
         fano.edge_induced([(0, 1, 3)])
+
+
+def test_cuts_skip_the_validating_constructor(fano, monkeypatch):
+    def validate_again(*args, **kwargs):
+        raise AssertionError("a subgraph went through the validating constructor")
+
+    monkeypatch.setattr(LinearHypergraph, "__init__", validate_again)
+    assert fano.induced({0, 1, 2}).edges == ((0, 1, 2),)
+    assert fano.edge_induced([(2, 1, 0)]).edges == ((0, 1, 2),)
+
+
+@st.composite
+def cut_cases(draw):
+    """A thinned greedy packing at r in {3, 4, 5}; a vertex subset that may
+    hold non-vertices; and some of its edges, in any vertex order, repeats allowed."""
+    r = draw(st.sampled_from([3, 4, 5]))
+    n = draw(st.integers(min_value=r, max_value=20))
+    base = greedy_partial_steiner(n, r, seed=draw(st.integers(0, 10**6)), effort=2.0)
+    keep = draw(st.lists(st.booleans(), min_size=base.num_edges(), max_size=base.num_edges()))
+    g = build(n, r, [e for e, k in zip(base.edges, keep) if k])
+    subset = draw(st.sets(st.integers(min_value=-1, max_value=n)))
+    picked = []
+    if g.edges:
+        picked = draw(st.lists(st.sampled_from(g.edges).flatmap(st.permutations)))
+    return g, subset, picked
+
+
+def assert_same_graph(got, want):
+    assert got.edges == want.edges
+    assert got.vertices == want.vertices
+    assert list(got.incident.items()) == list(want.incident.items())
+    assert set(got.incident) == {v for e in got.edges for v in e}
+    for v, ids in got.incident.items():
+        assert ids == tuple(i for i, e in enumerate(got.edges) if v in e)
+    assert got.edge_set == want.edge_set
+    assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut_cases())
+def test_cuts_match_the_validating_constructor(case):
+    g, subset, picked = case
+    sub = g.induced(subset)
+    kept = [e for e in g.edges if set(e) <= subset]
+    assert_same_graph(sub, LinearHypergraph(g.n, g.r, kept, vertices=subset))
+    assert_same_graph(
+        g.edge_induced(picked),
+        LinearHypergraph(g.n, g.r, picked, vertices={v for e in picked for v in e}),
+    )
+    assert_same_graph(g.edge_induced([]), LinearHypergraph(g.n, g.r, [], vertices=frozenset()))
+    ids = range(-1, g.n + 1)
+    for h in (g, sub):
+        for u in ids:
+            for v in ids:
+                want = next((e for e in h.edges if u in e and v in e and u != v), None)
+                assert h.edge_through(u, v) == want
 
 
 # -- cycle families ---------------------------------------------------------------

@@ -38,7 +38,7 @@ def test_packing_on_seven_points():
         for cand in combinations(range(7), 3):
             pairs = list(combinations(cand, 2))
             if cand not in g.edge_set:
-                assert any(g.pair_index.get(p) is not None for p in pairs)
+                assert any(g.edge_through(*p) is not None for p in pairs)
 
 
 def test_packing_density_floor():

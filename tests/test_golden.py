@@ -11,6 +11,9 @@ failure traces and closure firings of the all-lengths pipeline.
 
 The r-partite reduction is also pinned on its own, at r = 3, 4 and 5, with
 one sparse n = 2000, d = 6 instance like the even pipeline's largest inputs.
+
+The internal assembly never fires in that corpus, so one report where it does
+is pinned on a stored instance, tests/data/even_sparse_internal.txt.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -169,3 +173,19 @@ def test_partite_reduction_hashes(name):
 def test_generator_hashes(label):
     g, _ = generate(GEN_SPECS[label])
     assert sha(g.to_text()) == GEN_HASHES[label]
+
+
+# call 155 of the even-sparse benchmark batch at seed 1: n = 2000, m = 3966,
+# r = 3, k = 2; the even pipeline's internal assembly fires at t = 5, case 1
+INTERNAL_INSTANCE = Path(__file__).parent / "data" / "even_sparse_internal.txt"
+INTERNAL_SEED = 515310
+INTERNAL_HASH = "3c56ea48e3f7ec51bcead11ad07a03a89e1b70c599534e9f644e6f62958ccfa2"
+
+
+def test_internal_assembly_report_hash():
+    g = LinearHypergraph.from_text(INTERNAL_INSTANCE.read_text())
+    report = even_consecutive_cycles(g, 2, INTERNAL_SEED)
+    fired = [step for step in report.trace if step.get("status") == "fired"]
+    assert [(s["stage"], s["t"], s["case"]) for s in fired] == [("internal", 5, 1)]
+    assert report.success and report.outcome.lengths == [12, 14]
+    assert sha(report.to_json()) == INTERNAL_HASH
