@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import os
 import random
 import sys
 from typing import Optional, Sequence
@@ -200,8 +201,9 @@ def cmd_sweep(args) -> int:
     for d in ds:
         for _ in range(args.trials):
             jobs.append((args.n, args.r, args.k, d, args.mode, rng.getrandbits(32)))
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, os.cpu_count() or 1)  # never more processes than cores
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_trial, jobs))
     else:
         results = [_sweep_trial(j) for j in jobs]
@@ -280,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="oracle cycle-length spectrum")
     p.add_argument("--input", type=str, required=True)
     p.add_argument("--max-len", type=_int_at_least(3), default=10)
-    p.add_argument("--budget", type=int, default=10**8)
+    p.add_argument("--budget", type=_int_at_least(1), default=10**8)
     common(p)
     p.set_defaults(func=cmd_spectrum)
 
@@ -290,9 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_int_at_least(1), default=2)
     p.add_argument("--d-from", type=float, required=True)
     p.add_argument("--d-to", type=float, required=True)
-    p.add_argument("--points", type=int, default=10)
+    p.add_argument("--points", type=_int_at_least(1), default=10)
     p.add_argument("--trials", type=_int_at_least(1), default=5)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--mode", choices=["all", "even"], default="even")
     p.add_argument("--out", type=str, default=None)
     common(p)

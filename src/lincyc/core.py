@@ -105,9 +105,6 @@ class LinearHypergraph:
     def edges_at(self, v: int) -> list[Edge]:
         return [self.edges[i] for i in self.incident.get(v, ())]
 
-    def support(self) -> frozenset[int]:
-        return frozenset(v for v in self.vertices if self.degree(v) > 0)
-
     # -- subgraphs ----------------------------------------------------------
 
     def induced(self, subset: Iterable[int]) -> "LinearHypergraph":
@@ -281,16 +278,6 @@ class ColoredGraph:
                     if self.color[e] & self.color[f]:
                         return False
                 at.setdefault(v, []).append(e)
-        return True
-
-    def is_strongly_rainbow(self) -> bool:
-        if any(self.color[e] & self.vertices for e in self.edges):
-            return False
-        seen: set[int] = set()
-        for e in self.edges:
-            if self.color[e] & seen:
-                return False
-            seen |= self.color[e]
         return True
 
     def restrict(self, edges: Iterable[Pair]) -> "ColoredGraph":

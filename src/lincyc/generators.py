@@ -38,9 +38,16 @@ class GenSpec:
     background_density: float = 0.0
 
     def validate(self) -> None:
+        if self.r < 2:
+            raise Infeasible(f"uniformity r={self.r} below 2")
         if self.n < self.r:
             raise Infeasible(f"n={self.n} below uniformity r={self.r}")
+        # `not x >= 0` rather than `x < 0`, so that NaN fails too
+        if not self.background_density >= 0:
+            raise Infeasible(f"background density {self.background_density} must be at least 0")
         if self.mode == "sparsified":
+            if not self.d > 0:
+                raise Infeasible(f"target degree d={self.d} must be positive")
             p = 2 * self.r * self.d / self.n
             if p > 1:
                 raise Infeasible(f"sparsification probability p=2rd/n={p:.3f} > 1")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .core import ColoredGraph, LinearCycle, LinearHypergraph, Pair
-from .errors import BudgetExceeded, TooLarge
+from .errors import BudgetExceeded, PreconditionFailed, TooLarge
 
 DEFAULT_BUDGET = 10**8
 RAINBOW_MAX_VERTICES = 20
@@ -49,7 +49,7 @@ def enumerate_cycles(
     witnesses: Optional[list[LinearCycle]] = None,
 ) -> Spectrum:
     if max_len < 3:
-        raise ValueError("max_len must be at least 3")
+        raise PreconditionFailed("max_len must be at least 3")
     lengths: set[int] = set()
     counts: dict[int, int] = {}
     expansions = 0
@@ -124,7 +124,7 @@ def rainbow_path_exists(
     if len(h.vertices) > RAINBOW_MAX_VERTICES:
         raise TooLarge(f"{len(h.vertices)} vertices exceeds the cap {RAINBOW_MAX_VERTICES}")
     if length < 1:
-        raise ValueError("length must be at least 1")
+        raise PreconditionFailed("length must be at least 1")
     set1 = {tuple(sorted(e)) for e in e1}
     set2 = {tuple(sorted(e)) for e in e2}
     adj = h.adjacency()

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .core import ColoredGraph, LinearHypergraph, LinearPath, Pair, _pair, verify_path
+from .core import ColoredGraph, Edge, LinearHypergraph, LinearPath, Pair, _pair, verify_path
 from .errors import (
     EmptyCore,
     InvariantViolation,
@@ -22,7 +22,7 @@ from .errors import (
     PreconditionFailed,
     RetriesExhausted,
 )
-from .reductions import BfsLayers, bfs_layers, degenerate_ordering, min_degree_subgraph
+from .reductions import BfsLayers, bfs_layers, degenerate_ordering, min_degree_core
 
 
 # -- dense layer subgraph ------------------------------------------------------
@@ -56,10 +56,7 @@ def dense_layer_subgraph(
         if not li:
             break
         gi_edges = [e for e in g.edges if any(v in li for v in e)]
-        if not gi_edges:
-            continue
-        gi = g.edge_induced(gi_edges)
-        if gi.average_degree() < d / 2:
+        if _average_degree(gi_edges, g.r) < d / 2:
             continue
         prev = lay.layer(i - 1)
         with_prev = [e for e in gi_edges if any(v in prev for v in e)]
@@ -71,16 +68,21 @@ def dense_layer_subgraph(
             candidates.append((i, without))
         # prefer the larger m when both halves are dense enough
         for m, es in sorted(candidates, key=lambda c: -c[0]):
-            h = g.edge_induced(es)
-            if h.average_degree() >= d / 4 and _layer_condition(h, lay, m):
-                return m, h
+            if _average_degree(es, g.r) >= d / 4 and _layer_condition(es, lay, m):
+                return m, g.edge_induced(es)
     raise NotFound("no dense layer subgraph; check preconditions")
 
 
-def _layer_condition(h: LinearHypergraph, lay: BfsLayers, m: int) -> bool:
+def _average_degree(edges: Sequence[Edge], r: int) -> float:
+    """Average degree over the vertices an edge list touches; 0 when empty."""
+    verts = {v for e in edges for v in e}
+    return r * len(edges) / len(verts) if verts else 0.0
+
+
+def _layer_condition(edges: Sequence[Edge], lay: BfsLayers, m: int) -> bool:
     lm = lay.layer(m)
     early = {v for v, i in lay.dist.items() if i < m}
-    for e in h.edges:
+    for e in edges:
         if not any(v in lm for v in e):
             return False
         if any(v in early for v in e):
@@ -114,13 +116,14 @@ def anchored_subgraph(
 ) -> AnchoredSubgraph:
     lay = bfs_layers(g, x)
     m, h = dense_layer_subgraph(g, x, d, lay)
-    v_m = sorted(h.support() & lay.layer(m))
+    v_m = sorted(h.vertices & lay.layer(m))
     rng = random.Random(seed)
     threshold = d / (g.r * 2 ** (2 * g.r + 1))
     # keep drawing past the first valid candidate until one has a workably
     # large minimum degree; downstream constructions need room to peel again
     good_enough = max(4.0, threshold)
     best: Optional[AnchoredSubgraph] = None
+    best_low = 0  # a kept core has minimum degree at least 1
     # the even draw is the analysable one; the skewed draws keep far more
     # edges when most of an edge's vertices sit in the target layer
     schedule = [(0.5, 0.5), (1.0 / g.r, 1.0), (0.25, 1.0), (0.35, 0.7)]
@@ -141,59 +144,50 @@ def anchored_subgraph(
                 if ys.intersection(last_edge) != {vf}:
                     continue
             nice.append(e)
-        if not nice:
-            continue
-        h2 = g.edge_induced(nice)
-        try:
-            f = min_degree_subgraph(h2, h2.average_degree())
-        except EmptyCore:
-            continue
+        kept, low = min_degree_core(nice, g.r, _average_degree(nice, g.r))
         anchors = frozenset(ys)
         # witness paths may carry passengers into V(F); one repair pass drops
         # every edge touching such a passenger, after which no hit can remain
+        fv = {v for e in kept for v in e}
         bad: set[int] = set()
-        for v in sorted(f.vertices & anchors):
+        for v in sorted(fv & anchors):
             p = lay.path_to(v)
-            bad |= (p.vertex_set() - {v}) & f.vertices
+            bad |= (p.vertex_set() - {v}) & fv
         if bad:
-            keep = [e for e in f.edges if not bad.intersection(e)]
-            if not keep:
-                continue
-            f = g.edge_induced(keep)
-            try:
-                f = min_degree_subgraph(f, f.average_degree())
-            except EmptyCore:
-                continue
-        if f.min_degree() < threshold:
+            kept = [e for e in kept if not bad.intersection(e)]
+            kept, low = min_degree_core(kept, g.r, _average_degree(kept, g.r))
+            fv = {v for e in kept for v in e}
+        if not kept or low < threshold:
             continue
-        if not _anchored_ok(f, anchors, lay, m):
+        if not _anchored_ok(kept, anchors, lay, m):
             continue
         paths = {}
         ok = True
-        for v in sorted(f.vertices & anchors):
+        for v in sorted(fv & anchors):
             p = lay.path_to(v)
-            hits = (p.vertex_set() or {v}) & f.vertices
+            hits = (p.vertex_set() or {v}) & fv
             if hits != {v}:
                 ok = False
                 break
             paths[v] = p
         if not ok or not paths:
             continue
-        cand = AnchoredSubgraph(m, anchors, f, paths, lay)
-        if f.min_degree() >= good_enough:
-            return cand
-        if best is None or f.min_degree() > best.subgraph.min_degree():
-            best = cand
-        if best is not None and attempt >= 60:
+        # only a draw that is kept or returned becomes a graph; best_low stays
+        # below good_enough, so a draw that reaches it is always kept
+        if low > best_low:
+            best, best_low = AnchoredSubgraph(m, anchors, g.edge_induced(kept), paths, lay), low
+            if low >= good_enough:
+                return best
+        if attempt >= 60:
             break
     if best is not None:
         return best
     raise RetriesExhausted("anchored subgraph draws kept failing P1-P3", ANCHOR_ATTEMPTS)
 
 
-def _anchored_ok(f: LinearHypergraph, anchors: frozenset[int], lay: BfsLayers, m: int) -> bool:
+def _anchored_ok(edges: Sequence[Edge], anchors: frozenset[int], lay: BfsLayers, m: int) -> bool:
     early = {v for v, i in lay.dist.items() if i < m}
-    for e in f.edges:
+    for e in edges:
         if len(anchors.intersection(e)) != 1:
             return False
         if any(v in early for v in e):

@@ -8,6 +8,8 @@ of least (live degree, id) until it meets a stop rule.  Each stop rule is
 monotone in the degree, so the least vertex can go exactly when any vertex
 can, and a lazy min-heap deletes the same vertices in the same order as a
 rescan of every live vertex (Matula-Beck smallest-last, Batagelj-Zaversnik).
+`_peel` indexes the edge list it is given, so `min_degree_core` peels a bare
+edge list, and the anchored draws in `pathfinder` build no graph per draw.
 
 The r-partite reduction (Erdős–Kleitman) hill-climbs a random balanced
 r-partition one vertex at a time until the transversal edges reach r!/r^r of
@@ -21,23 +23,27 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
-from .core import LinearHypergraph, LinearPath, Pair, RPartition, _pair
+from .core import Edge, LinearHypergraph, LinearPath, Pair, RPartition, _pair
 from .errors import EmptyCore, InvariantViolation, PreconditionFailed, RetriesExhausted
 
 
 # -- smallest-last peeling and the minimum-degree core -------------------------
 
 
-def _peel(edges, incident, vertices, stop) -> tuple[list[int], set[int], list[bool]]:
-    """Delete the live vertex of least (live degree, id), with its edges
-    (incident maps a vertex to edge ids), until stop(degree, alive count, live
-    edge count) holds for it.  Returns the deletion order, the survivors and a
-    live-edge mask."""
-    deg = {v: len(incident.get(v, ())) for v in vertices}
+def _peel(edges, vertices, stop) -> tuple[list[int], set[int], list[bool]]:
+    """Delete the live vertex of least (live degree, id), with its edges,
+    until stop(degree, alive count, live edge count) holds for it.  vertices
+    must hold every vertex of an edge; None means exactly those.  Returns the
+    deletion order, the survivors and a live-edge mask."""
+    incident: dict[int, list[int]] = {}
+    for eid, e in enumerate(edges):
+        for v in e:
+            incident.setdefault(v, []).append(eid)
+    deg = {v: len(incident.get(v, ())) for v in (incident if vertices is None else vertices)}
     alive = set(deg)
     live = [True] * len(edges)
     e_count = len(edges)
@@ -63,20 +69,28 @@ def _peel(edges, incident, vertices, stop) -> tuple[list[int], set[int], list[bo
     return order, alive, live
 
 
+def min_degree_core(edges: Sequence[Edge], r: int, d: float) -> tuple[list[Edge], int]:
+    """The edges left after peeling every vertex of degree below d/r, in
+    input order, and their minimum degree (0 when none is left).  The
+    survivors are the unique such core, whatever the deletion order."""
+    _, _, live = _peel(edges, None, lambda k, a, e: k * r >= d)
+    kept = [e for e, ok in zip(edges, live) if ok]
+    low = min(Counter(v for e in kept for v in e).values(), default=0)
+    if kept and low * r < d:
+        raise InvariantViolation("core minimum degree below the peeling threshold")
+    return kept, low
+
+
 def min_degree_subgraph(g: LinearHypergraph, d: float) -> LinearHypergraph:
-    """Induced subgraph of minimum degree >= d/r: peel the support while the
-    least degree is below d/r.  The surviving edges are the unique such core,
-    whatever the deletion order.  Nonempty whenever d <= d(g)."""
+    """Induced subgraph of minimum degree >= d/r, nonempty whenever
+    d <= d(g).  A deleted vertex keeps no live edge, so the core's edges are
+    exactly those induced by its vertices."""
     if d > g.average_degree():
         raise EmptyCore(f"threshold {d} exceeds average degree {g.average_degree()}")
-    _, _, live = _peel(g.edges, g.incident, g.support(), lambda k, a, e: k * g.r >= d)
-    kept = [e for e, ok in zip(g.edges, live) if ok]
+    kept, _ = min_degree_core(g.edges, g.r, d)
     if not kept:
         raise EmptyCore("peeling removed every edge")
-    core = g.induced(frozenset(v for e in kept for v in e))
-    if core.min_degree() * g.r < d:
-        raise InvariantViolation("core minimum degree below the peeling threshold")
-    return core
+    return g._cut(tuple(kept), frozenset(v for e in kept for v in e))
 
 
 # -- degenerate ordering (2-graphs) ------------------------------------------
@@ -98,11 +112,9 @@ def degenerate_ordering(edges: Iterable[Pair], d: float) -> PeelResult:
     """Smallest-last ordering of a 2-graph: peel while the least vertex has
     fewer than d live neighbors, then append the core in id order."""
     es = sorted(set(_pair(*e) for e in edges))
-    incident: dict[int, list[int]] = {}
-    for eid, e in enumerate(es):
-        for v in set(e):  # a loop (v, v) is one edge of v, as in an adjacency set
-            incident.setdefault(v, []).append(eid)
-    deleted, alive, live = _peel(es, incident, incident, lambda k, a, e: k >= d)
+    if any(u == v for u, v in es):
+        raise PreconditionFailed("a 2-graph has no loop (v, v)")
+    deleted, alive, live = _peel(es, None, lambda k, a, e: k >= d)
     if not alive:
         raise EmptyCore(f"no core of minimum degree {d}")
     ordering = deleted + sorted(alive)
@@ -187,7 +199,7 @@ def d_minimal(g: LinearHypergraph, d: float) -> LinearHypergraph:
     """
     if g.average_degree() < d:
         raise PreconditionFailed(f"average degree {g.average_degree()} below {d}")
-    _, alive, _ = _peel(g.edges, g.incident, g.vertices,
+    _, alive, _ = _peel(g.edges, g.vertices,
                         lambda k, a, e: a <= 1 or g.r * (e - k) < d * (a - 1))
     out = g.induced(frozenset(alive))
     if out.average_degree() < d:

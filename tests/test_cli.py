@@ -51,6 +51,23 @@ def test_gen_config_file_with_flag_override(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--mode", "sparsified", "--d", "-1"], "target degree d=-1.0 must be positive"),
+        (["--mode", "sparsified", "--d", "0"], "target degree d=0.0 must be positive"),
+        (["--mode", "planted", "--lengths", "3", "--background-density", "-5"],
+         "background density -5.0 must be at least 0"),
+        (["--r", "1"], "uniformity r=1 below 2"),
+    ],
+    ids=["sparsified-d-negative", "sparsified-d-zero", "background-density", "r-one"],
+)
+def test_gen_rejects_bad_values(capsys, argv, message):
+    code, out, err = run(["gen", "--n", "24", "--seed", "0"] + argv, capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "config",
     [
         {"func": 1},
@@ -203,9 +220,12 @@ def test_verify_malformed_cycles_exits_one(tmp_path, capsys, fano, payload):
         ["gen", "--n", "24", "--mode", "planted", "--lengths", "3,x"],
         ["sweep", "--n", "20", "--d-from", "1", "--d-to", "2", "--trials", "0"],
         ["sweep", "--n", "20", "--d-from", "1", "--d-to", "2", "--k", "0"],
+        ["sweep", "--n", "20", "--d-from", "1", "--d-to", "2", "--points", "0"],
+        ["sweep", "--n", "20", "--d-from", "1", "--d-to", "2", "--jobs", "0"],
+        ["spectrum", "--input", "{graph}", "--budget", "-1"],
     ],
     ids=["spectrum-max-len", "find-k-zero", "find-k-negative", "gen-lengths",
-         "sweep-trials", "sweep-k"],
+         "sweep-trials", "sweep-k", "sweep-points", "sweep-jobs", "spectrum-budget"],
 )
 def test_bad_argument_value_is_a_usage_error(tmp_path, capsys, fano, argv):
     graph = tmp_path / "g.txt"

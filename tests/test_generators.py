@@ -147,3 +147,10 @@ def test_genspec_validation():
         GenSpec(n=10, r=3, mode="sparsified", d=10.0).validate()
     with pytest.raises(Infeasible):
         GenSpec(n=100, r=3, mode="sparsified", d=2.0, girth_floor=1).validate()
+
+
+def test_genspec_rejects_nan():
+    with pytest.raises(Infeasible):
+        GenSpec(n=100, r=3, mode="sparsified", d=float("nan")).validate()
+    with pytest.raises(Infeasible):
+        GenSpec(n=100, r=3, mode="planted", background_density=float("nan")).validate()

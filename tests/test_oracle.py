@@ -10,6 +10,7 @@ import pytest
 from lincyc import (
     BudgetExceeded,
     LinearHypergraph,
+    PreconditionFailed,
     TooLarge,
     build,
     enumerate_cycles,
@@ -103,7 +104,7 @@ def test_budget_exhaustion_carries_partial(fano):
 
 
 def test_rejects_small_cap(fano):
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionFailed):
         enumerate_cycles(fano, 2)
 
 
@@ -143,6 +144,13 @@ def test_rainbow_single_edge_cannot_extend():
 
     h = ColoredGraph(frozenset({0, 1}), ((0, 1),), {(0, 1): frozenset({9})})
     assert not rainbow_path_exists(h, [(0, 1)], [], 2)
+
+
+def test_rainbow_oracle_rejects_length_zero():
+    h = difference_projection(4, seed=0)
+    e1, e2 = split_edges(h, seed=0)
+    with pytest.raises(PreconditionFailed, match="length must be at least 1"):
+        rainbow_path_exists(h, e1, e2, 0)
 
 
 def test_rainbow_oracle_size_cap():

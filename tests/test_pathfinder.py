@@ -4,13 +4,23 @@ rainbow path search."""
 
 from __future__ import annotations
 
+import random
+from collections import Counter
+from typing import Optional
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lincyc import (
+    EmptyCore,
+    LincycError,
     NotFound,
     PreconditionFailed,
+    RetriesExhausted,
     anchored_subgraph,
     bfs_layers,
+    build,
     dense_layer_subgraph,
     greedy_partial_steiner,
     min_degree_subgraph,
@@ -20,7 +30,12 @@ from lincyc import (
     rainbow_special_path,
     verify_path,
 )
-from lincyc.pathfinder import check_rainbow_special
+from lincyc.pathfinder import (
+    ANCHOR_ATTEMPTS,
+    AnchoredSubgraph,
+    check_rainbow_special,
+    layer_index_bound,
+)
 from conftest import difference_projection, split_edges, transversal_regular_instance
 
 
@@ -93,6 +108,187 @@ def test_anchored_is_deterministic(packing_core):
     a2 = anchored_subgraph(g, x, g.min_degree() / 2, seed=7)
     assert a1.subgraph.edges == a2.subgraph.edges
     assert a1.anchors == a2.anchors
+
+
+# -- the draws against the graph-per-draw code they replaced -----------------------------
+#
+# The reference below is the layer and anchored search as first written: every
+# candidate edge list is cut into a subgraph with edge_induced, each draw is
+# peeled as a graph, and the core comes from a rescan that drops every vertex
+# of degree below d/r at once until none is left.  The result must be the same
+# object, or the same exception type and message.
+
+
+def naive_min_degree_subgraph(g, d):
+    if d > g.average_degree():
+        raise EmptyCore(f"threshold {d} exceeds average degree {g.average_degree()}")
+    kept = list(g.edges)
+    while True:
+        deg = Counter(v for e in kept for v in e)
+        low = {v for v, k in deg.items() if k * g.r < d}
+        if not low:
+            break
+        kept = [e for e in kept if not low.intersection(e)]
+    if not kept:
+        raise EmptyCore("peeling removed every edge")
+    core = g.induced(frozenset(v for e in kept for v in e))
+    assert core.min_degree() * g.r >= d
+    return core
+
+
+def naive_layer_condition(h, lay, m):
+    lm = lay.layer(m)
+    early = {v for v, i in lay.dist.items() if i < m}
+    return all(any(v in lm for v in e) and not any(v in early for v in e) for e in h.edges)
+
+
+def naive_dense_layer_subgraph(g, x, d, lay=None):
+    delta = g.min_degree()
+    if not (1 <= d <= delta / 2):
+        raise PreconditionFailed(f"need 1 <= d <= delta/2, got d={d}, delta={delta}")
+    lay = lay if lay is not None else bfs_layers(g, x)
+    t_cap = layer_index_bound(len(g.vertices), delta / d)
+    all_layers = lay.layers
+    for i in range(1, min(t_cap, len(all_layers) - 1) + 1):
+        li = lay.layer(i)
+        if not li:
+            break
+        gi_edges = [e for e in g.edges if any(v in li for v in e)]
+        if not gi_edges:
+            continue
+        gi = g.edge_induced(gi_edges)
+        if gi.average_degree() < d / 2:
+            continue
+        prev = lay.layer(i - 1)
+        with_prev = [e for e in gi_edges if any(v in prev for v in e)]
+        without = [e for e in gi_edges if not any(v in prev for v in e)]
+        candidates = []
+        if len(with_prev) * 2 >= len(gi_edges) and with_prev:
+            candidates.append((i - 1, with_prev))
+        if without:
+            candidates.append((i, without))
+        for m, es in sorted(candidates, key=lambda c: -c[0]):
+            h = g.edge_induced(es)
+            if h.average_degree() >= d / 4 and naive_layer_condition(h, lay, m):
+                return m, h
+    raise NotFound("no dense layer subgraph; check preconditions")
+
+
+def naive_anchored_ok(f, anchors, lay, m):
+    early = {v for v, i in lay.dist.items() if i < m}
+    return all(len(anchors.intersection(e)) == 1 and not any(v in early for v in e)
+               for e in f.edges)
+
+
+def naive_anchored_subgraph(g, x, d, seed=0):
+    lay = bfs_layers(g, x)
+    m, h = naive_dense_layer_subgraph(g, x, d, lay)
+    v_m = sorted(h.vertices & lay.layer(m))
+    rng = random.Random(seed)
+    threshold = d / (g.r * 2 ** (2 * g.r + 1))
+    good_enough = max(4.0, threshold)
+    best: Optional[AnchoredSubgraph] = None
+    schedule = [(0.5, 0.5), (1.0 / g.r, 1.0), (0.25, 1.0), (0.35, 0.7)]
+    for attempt in range(ANCHOR_ATTEMPTS):
+        px, py = schedule[attempt % len(schedule)]
+        xs = {v for v in v_m if rng.random() < px}
+        good = [e for e in h.edges if len(xs.intersection(e)) == 1]
+        if not good:
+            continue
+        ys = {v for v in xs if rng.random() < py}
+        nice = []
+        for e in good:
+            (vf,) = xs.intersection(e)
+            if vf not in ys:
+                continue
+            if m > 0 and ys.intersection(lay.parent_edge[vf]) != {vf}:
+                continue
+            nice.append(e)
+        if not nice:
+            continue
+        h2 = g.edge_induced(nice)
+        try:
+            f = naive_min_degree_subgraph(h2, h2.average_degree())
+        except EmptyCore:
+            continue
+        anchors = frozenset(ys)
+        bad = set()
+        for v in sorted(f.vertices & anchors):
+            bad |= (lay.path_to(v).vertex_set() - {v}) & f.vertices
+        if bad:
+            keep = [e for e in f.edges if not bad.intersection(e)]
+            if not keep:
+                continue
+            f = g.edge_induced(keep)
+            try:
+                f = naive_min_degree_subgraph(f, f.average_degree())
+            except EmptyCore:
+                continue
+        if f.min_degree() < threshold:
+            continue
+        if not naive_anchored_ok(f, anchors, lay, m):
+            continue
+        paths = {}
+        ok = True
+        for v in sorted(f.vertices & anchors):
+            p = lay.path_to(v)
+            hits = (p.vertex_set() or {v}) & f.vertices
+            if hits != {v}:
+                ok = False
+                break
+            paths[v] = p
+        if not ok or not paths:
+            continue
+        cand = AnchoredSubgraph(m, anchors, f, paths, lay)
+        if f.min_degree() >= good_enough:
+            return cand
+        if best is None or f.min_degree() > best.subgraph.min_degree():
+            best = cand
+        if best is not None and attempt >= 60:
+            break
+    if best is not None:
+        return best
+    raise RetriesExhausted("anchored subgraph draws kept failing P1-P3", ANCHOR_ATTEMPTS)
+
+
+def settle(fn, *args):
+    """The fields a caller reads from a result, or the exception's type and
+    message."""
+    try:
+        result = fn(*args)
+    except LincycError as err:
+        return type(err), str(err)
+    if isinstance(result, AnchoredSubgraph):
+        return result.m, result.anchors, result.subgraph, result.witness_paths
+    return result
+
+
+@st.composite
+def layered_cases(draw):
+    """A thinned greedy packing peeled to minimum degree at least 2, a root, a
+    density d on a quarter grid that strays past delta/2, and a call seed."""
+    r = draw(st.sampled_from([3, 4]))
+    n = draw(st.integers(min_value=3 * r, max_value=90))
+    base = greedy_partial_steiner(n, r, seed=draw(st.integers(0, 10**6)), effort=2.0)
+    coins = draw(st.lists(st.integers(0, 9), min_size=base.num_edges(),
+                          max_size=base.num_edges()))
+    thinned = build(n, r, [e for e, c in zip(base.edges, coins) if c])
+    try:
+        g = min_degree_subgraph(thinned, 2 * r)
+    except EmptyCore:
+        g = base
+    x = draw(st.sampled_from(sorted(g.vertices)))
+    d = 1 + draw(st.integers(min_value=0, max_value=2 * g.min_degree())) / 4
+    return g, x, d, draw(st.integers(0, 10**6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(layered_cases())
+def test_draws_match_the_graph_per_draw_reference(case):
+    g, x, d, seed = case
+    assert settle(dense_layer_subgraph, g, x, d) == settle(naive_dense_layer_subgraph, g, x, d)
+    assert (settle(anchored_subgraph, g, x, d, seed)
+            == settle(naive_anchored_subgraph, g, x, d, seed))
 
 
 # -- path_with_part -----------------------------------------------------------------

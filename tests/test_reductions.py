@@ -106,6 +106,11 @@ def test_degenerate_ordering_empty_core():
         degenerate_ordering([(0, 1), (1, 2)], 5)
 
 
+def test_degenerate_ordering_rejects_a_loop():
+    with pytest.raises(PreconditionFailed, match="no loop"):
+        degenerate_ordering([(0, 1), (2, 2)], 1)
+
+
 # -- bfs_layers -------------------------------------------------------------------
 
 
@@ -313,7 +318,8 @@ def test_hypergraph_peels_match_naive_rescan(case):
     def naive_core():
         if d > g.average_degree():
             raise EmptyCore(f"threshold {d} exceeds average degree {g.average_degree()}")
-        _, _, live = naive_peel(g.edges, g.support(), lambda k, a, e: k * g.r >= d)
+        support = {v for e in g.edges for v in e}
+        _, _, live = naive_peel(g.edges, support, lambda k, a, e: k * g.r >= d)
         kept = [e for e, ok in zip(g.edges, live) if ok]
         if not kept:
             raise EmptyCore("peeling removed every edge")
