@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import os
 import random
 import sys
@@ -71,6 +72,17 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
     return parse
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
 
 
 def _lengths(text: str) -> list[int]:
@@ -290,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, default=3)
     p.add_argument("--k", type=_int_at_least(1), default=2)
-    p.add_argument("--d-from", type=float, required=True)
-    p.add_argument("--d-to", type=float, required=True)
+    p.add_argument("--d-from", type=_finite_float, required=True)
+    p.add_argument("--d-to", type=_finite_float, required=True)
     p.add_argument("--points", type=_int_at_least(1), default=10)
     p.add_argument("--trials", type=_int_at_least(1), default=5)
     p.add_argument("--jobs", type=_int_at_least(1), default=1)

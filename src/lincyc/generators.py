@@ -63,43 +63,108 @@ def greedy_partial_steiner(
     of C(n,2) samples."""
     if n < r:
         raise Infeasible(f"n={n} < r={r}")
-    rng = random.Random(seed)
+    # A pair u < v is stored as the key u * n + v.
     used_pairs: set[int] = set()
     edges: list[tuple[int, ...]] = []
-
-    def pair_key(u: int, v: int) -> int:
-        return u * n + v if u < v else v * n + u
-
-    def try_add(cand: tuple[int, ...]) -> bool:
-        keys = [pair_key(u, v) for u, v in combinations(cand, 2)]
-        if any(k in used_pairs for k in keys):
-            return False
-        used_pairs.update(keys)
-        edges.append(tuple(sorted(cand)))
-        return True
-
     budget = max(1, int(effort * n * (n - 1) / 2))
-    randrange = rng.randrange
-    add_pair = used_pairs.add
-    seen = used_pairs.__contains__
-    for _ in range(budget):
-        # inlined rejection sampling: this loop dominates large builds
-        cand = {randrange(n) for _ in range(r)}
-        if len(cand) != r:
-            continue
-        cs = sorted(cand)
-        keys = [cs[a] * n + cs[b] for a in range(r - 1) for b in range(a + 1, r)]
-        if any(seen(k) for k in keys):
-            continue
-        for k in keys:
-            add_pair(k)
-        edges.append(tuple(cs))
+    # Each draw is CPython's randrange(n) inlined: take n.bit_length() random
+    # bits and redraw while the value is >= n.  This consumes the same stream
+    # as randrange(n), so the edges match the plain sampler's;
+    # tests/test_generators.py pins that identity.
+    getrandbits = random.Random(seed).getrandbits
+    bits = n.bit_length()
+    if r == 3:
+        # unrolled: this loop dominates large builds
+        add_pair = used_pairs.add
+        for _ in range(budget):
+            a = getrandbits(bits)
+            while a >= n:
+                a = getrandbits(bits)
+            b = getrandbits(bits)
+            while b >= n:
+                b = getrandbits(bits)
+            c = getrandbits(bits)
+            while c >= n:
+                c = getrandbits(bits)
+            if a == b or a == c or b == c:
+                continue
+            if a > b:
+                a, b = b, a
+            if b > c:
+                b, c = c, b
+                if a > b:
+                    a, b = b, a
+            ab = a * n + b
+            if ab in used_pairs:
+                continue
+            ac = a * n + c
+            if ac in used_pairs:
+                continue
+            bc = b * n + c
+            if bc in used_pairs:
+                continue
+            add_pair(ab)
+            add_pair(ac)
+            add_pair(bc)
+            edges.append((a, b, c))
+    else:
+        for _ in range(budget):
+            cand = set()
+            for _ in range(r):
+                v = getrandbits(bits)
+                while v >= n:
+                    v = getrandbits(bits)
+                cand.add(v)
+            if len(cand) != r:
+                continue
+            cs = sorted(cand)
+            keys = [cs[i] * n + cs[j] for i in range(r - 1) for j in range(i + 1, r)]
+            if not used_pairs.isdisjoint(keys):
+                continue
+            used_pairs.update(keys)
+            edges.append(tuple(cs))
 
     if math.comb(n, r) <= SWEEP_LIMIT:
-        for cand in combinations(range(n), r):
-            try_add(cand)
+        _maximality_sweep(n, r, used_pairs, edges)
 
     return LinearHypergraph(n, r, edges)
+
+
+def _maximality_sweep(
+    n: int, r: int, used_pairs: set[int], edges: list[tuple[int, ...]]
+) -> None:
+    """Append, in lexicographic order, every r-set of range(n) whose pairs are
+    all still free, as a scan of combinations(range(n), r) would.
+
+    The scan is a backtrack over prefixes that drops a prefix as soon as one
+    of its pairs is used.  That loses nothing: used pairs only accumulate, so
+    a blocked prefix has no acceptable extension, now or later.  Accepting an
+    edge blocks every prefix of two or more of its vertices, so those levels
+    return at once; a level with a shorter prefix carries on with its next
+    vertex."""
+    cand = [0] * r
+
+    def extend(j: int, start: int) -> bool:
+        # slot j, after the free prefix cand[:j]; True when an edge was
+        # accepted and the prefix is now blocked
+        rows = [u * n for u in cand[:j]]
+        for v in range(start, n - r + j + 1):
+            if any(row + v in used_pairs for row in rows):
+                continue
+            cand[j] = v
+            if j + 1 < r:
+                accepted = extend(j + 1, v + 1)
+            else:
+                used_pairs.update(
+                    cand[a] * n + cand[b] for a in range(r - 1) for b in range(a + 1, r)
+                )
+                edges.append(tuple(cand))
+                accepted = True
+            if accepted and j >= 2:
+                return True
+        return False
+
+    extend(0, 0)
 
 
 @dataclass
@@ -131,7 +196,10 @@ def high_girth_sparsify(
         raise PreconditionFailed(f"p = 2rd/n = {p:.4f} > 1")
     if m < 2:
         raise PreconditionFailed("m must be at least 2")
-    expected_bound = 2 * (2 * r * d) ** m
+    try:
+        expected_bound = 2 * (2 * r * d) ** m
+    except OverflowError:  # a float power past the largest double
+        expected_bound = math.inf
     rng = random.Random(seed)
     best: Optional[SparsifyReport] = None
     for attempt in range(1, SPARSIFY_ATTEMPTS + 1):

@@ -67,6 +67,15 @@ def test_gen_rejects_bad_values(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+def test_gen_huge_girth_floor_exits_without_traceback(capsys):
+    code, _, err = run(
+        ["gen", "--n", "30", "--mode", "sparsified", "--d", "1",
+         "--girth-floor", "100000", "--seed", "0"],
+        capsys,
+    )
+    assert code in (0, 1) and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -89,6 +98,16 @@ def test_bad_config_exits_one(tmp_path, capsys, config):
     )
     assert code == 1 and out == ""
     assert "Traceback" not in err
+
+
+def test_sweep_config_rejects_nan_bound(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d_to": float("nan")}))
+    code, out, err = run(
+        ["sweep", "--n", "20", "--d-from", "1", "--d-to", "2", "--config", str(cfg)], capsys
+    )
+    assert code == 1 and out == ""
+    assert "argument --d-to:" in err and "Traceback" not in err
 
 
 def test_config_switch_and_value_apply_like_flags(tmp_path, capsys):
@@ -223,9 +242,12 @@ def test_verify_malformed_cycles_exits_one(tmp_path, capsys, fano, payload):
         ["sweep", "--n", "20", "--d-from", "1", "--d-to", "2", "--points", "0"],
         ["sweep", "--n", "20", "--d-from", "1", "--d-to", "2", "--jobs", "0"],
         ["spectrum", "--input", "{graph}", "--budget", "-1"],
+        ["sweep", "--n", "20", "--d-to", "2", "--d-from", "nan"],
+        ["sweep", "--n", "20", "--d-from", "1", "--d-to", "inf"],
     ],
     ids=["spectrum-max-len", "find-k-zero", "find-k-negative", "gen-lengths",
-         "sweep-trials", "sweep-k", "sweep-points", "sweep-jobs", "spectrum-budget"],
+         "sweep-trials", "sweep-k", "sweep-points", "sweep-jobs", "spectrum-budget",
+         "sweep-d-nan", "sweep-d-inf"],
 )
 def test_bad_argument_value_is_a_usage_error(tmp_path, capsys, fano, argv):
     graph = tmp_path / "g.txt"

@@ -3,9 +3,13 @@ planted cycles."""
 
 from __future__ import annotations
 
+import math
+import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lincyc import (
     GenSpec,
@@ -56,6 +60,89 @@ def test_packing_determinism():
 def test_packing_rejects_tiny_n():
     with pytest.raises(Infeasible):
         greedy_partial_steiner(2, 3)
+
+
+# -- the packing against the plain sampler and sweep it replaced --------------------------
+#
+# greedy_partial_steiner inlines randrange(n) as CPython's getrandbits loop and
+# sweeps by a pruned backtrack.  The reference below is the function as first
+# written: randrange draws, then a scan of every r-set in lexicographic order.
+# The edge lists must be identical.
+
+
+def inlined_randbelow(getrandbits, n):
+    bits = n.bit_length()
+    v = getrandbits(bits)
+    while v >= n:
+        v = getrandbits(bits)
+    return v
+
+
+DRAW_SIZES = sorted(
+    set(range(1, 2101)) | {2**j + o for j in range(1, 41) for o in (-1, 0, 1)}
+)
+
+
+def test_inlined_draw_consumes_the_randrange_stream():
+    for n in DRAW_SIZES:
+        plain, inlined = random.Random(n), random.Random(n)
+        expected = [plain.randrange(n) for _ in range(50)]
+        assert [inlined_randbelow(inlined.getrandbits, n) for _ in range(50)] == expected, n
+        assert inlined.getrandbits(32) == plain.getrandbits(32), n
+
+
+def naive_greedy_partial_steiner(n, r, seed=0, effort=2.0):
+    rng = random.Random(seed)
+    used_pairs = set()
+    edges = []
+
+    def pair_key(u, v):
+        return u * n + v if u < v else v * n + u
+
+    def try_add(cand):
+        keys = [pair_key(u, v) for u, v in combinations(cand, 2)]
+        if any(k in used_pairs for k in keys):
+            return False
+        used_pairs.update(keys)
+        edges.append(tuple(sorted(cand)))
+        return True
+
+    budget = max(1, int(effort * n * (n - 1) / 2))
+    for _ in range(budget):
+        cand = {rng.randrange(n) for _ in range(r)}
+        if len(cand) != r:
+            continue
+        try_add(tuple(sorted(cand)))
+    if math.comb(n, r) <= 500_000:
+        for cand in combinations(range(n), r):
+            try_add(cand)
+    return LinearHypergraph(n, r, edges)
+
+
+# the last n whose r-sets are all swept; r = 2 (up to n = 1000) stays well inside
+SWEEP_EDGE = {2: 150, 3: 145, 4: 60, 5: 37}
+
+
+@st.composite
+def packing_cases(draw):
+    r = draw(st.sampled_from([2, 3, 4, 5]))
+    top = SWEEP_EDGE[r] + 5
+    n = draw(st.integers(min_value=r, max_value=top) | st.integers(top - 10, top))
+    effort = draw(st.floats(min_value=0.01, max_value=2.0))
+    return n, r, draw(st.integers(0, 2**32)), effort
+
+
+@settings(max_examples=50, deadline=None)
+@given(packing_cases())
+def test_packing_matches_the_plain_sampler_and_sweep(case):
+    assert greedy_partial_steiner(*case).edges == naive_greedy_partial_steiner(*case).edges
+
+
+def test_pair_packing_matches_past_the_sweep_edge():
+    # at r = 2 the sweep runs up to n = 1000 and completes every pair
+    for seed in range(3):
+        assert (greedy_partial_steiner(1001, 2, seed, 0.05).edges
+                == naive_greedy_partial_steiner(1001, 2, seed, 0.05).edges)
 
 
 # -- high_girth_sparsify -----------------------------------------------------------------
