@@ -139,32 +139,33 @@ def _maximality_sweep(
     The scan is a backtrack over prefixes that drops a prefix as soon as one
     of its pairs is used.  That loses nothing: used pairs only accumulate, so
     a blocked prefix has no acceptable extension, now or later.  Accepting an
-    edge blocks every prefix of two or more of its vertices, so those levels
-    return at once; a level with a shorter prefix carries on with its next
-    vertex."""
-    cand = [0] * r
-
-    def extend(j: int, start: int) -> bool:
-        # slot j, after the free prefix cand[:j]; True when an edge was
-        # accepted and the prefix is now blocked
-        rows = [u * n for u in cand[:j]]
-        for v in range(start, n - r + j + 1):
-            if any(row + v in used_pairs for row in rows):
-                continue
-            cand[j] = v
-            if j + 1 < r:
-                accepted = extend(j + 1, v + 1)
-            else:
-                used_pairs.update(
-                    cand[a] * n + cand[b] for a in range(r - 1) for b in range(a + 1, r)
-                )
-                edges.append(tuple(cand))
-                accepted = True
-            if accepted and j >= 2:
-                return True
-        return False
-
-    extend(0, 0)
+    edge blocks every prefix of two or more of its vertices, so the backtrack
+    resumes at slot 1 with the vertex after the edge's second.  The stack is
+    explicit, so r may exceed the recursion limit."""
+    pairs = [(a, b) for a in range(r - 1) for b in range(a + 1, r)]
+    prefix: list[int] = []  # the free prefix; slot len(prefix) is being filled
+    rows: list[int] = []  # u * n for u in prefix
+    tries = [iter(range(n - r + 1))]  # the vertices left to try, one iterator per slot
+    while tries:
+        for v in tries[-1]:
+            if not any(row + v in used_pairs for row in rows):
+                break
+        else:
+            tries.pop()
+            if prefix:
+                prefix.pop()
+                rows.pop()
+            continue
+        j = len(prefix)
+        if j + 1 < r:
+            prefix.append(v)
+            rows.append(v * n)
+            tries.append(iter(range(v + 1, n - r + j + 2)))
+            continue
+        edge = (*prefix, v)
+        used_pairs.update([rows[a] + edge[b] for a, b in pairs])
+        edges.append(edge)
+        del prefix[1:], rows[1:], tries[2:]
 
 
 @dataclass

@@ -68,12 +68,15 @@ def test_gen_rejects_bad_values(capsys, argv, message):
 
 
 def test_gen_huge_girth_floor_exits_without_traceback(capsys):
-    code, _, err = run(
+    code, out, err = run(
         ["gen", "--n", "30", "--mode", "sparsified", "--d", "1",
          "--girth-floor", "100000", "--seed", "0"],
         capsys,
     )
-    assert code in (0, 1) and "Traceback" not in err
+    assert code == 0 and "Traceback" not in err
+    lines = out.splitlines()
+    r, n, m = map(int, lines[0].split())
+    assert (r, n) == (3, 30) and len(lines) == m + 1
 
 
 @pytest.mark.parametrize(

@@ -138,11 +138,19 @@ def test_packing_matches_the_plain_sampler_and_sweep(case):
     assert greedy_partial_steiner(*case).edges == naive_greedy_partial_steiner(*case).edges
 
 
-def test_pair_packing_matches_past_the_sweep_edge():
-    # at r = 2 the sweep runs up to n = 1000 and completes every pair
+@pytest.mark.parametrize("n, r", [(30, 27), (60, 58)])
+def test_packing_at_large_r_matches_the_plain_sampler_and_sweep(n, r):
     for seed in range(3):
-        assert (greedy_partial_steiner(1001, 2, seed, 0.05).edges
-                == naive_greedy_partial_steiner(1001, 2, seed, 0.05).edges)
+        for effort in (0.01, 2.0):
+            case = (n, r, seed, effort)
+            assert greedy_partial_steiner(*case).edges == naive_greedy_partial_steiner(*case).edges
+
+
+@pytest.mark.parametrize("r", [998, 999, 1000])
+def test_sweep_runs_past_the_recursion_limit(r):
+    # The one draw repeats a vertex, so the sweep takes the first r-set,
+    # which blocks every other.  The plain scan is too slow to compare here.
+    assert greedy_partial_steiner(1000, r, seed=0, effort=1e-6).edges == (tuple(range(r)),)
 
 
 # -- high_girth_sparsify -----------------------------------------------------------------
@@ -165,6 +173,12 @@ def test_sparsify_removes_short_cycles():
     for e in report.deleted_edges:
         assert e in base.edge_set
         assert e not in report.graph.edge_set
+
+
+def test_sparsify_bound_saturates_on_a_huge_girth_floor():
+    base = greedy_partial_steiner(30, 3, seed=0)
+    report = high_girth_sparsify(base, 1.0, 100_000, seed=0)
+    assert report.expected_short_cycles_bound == math.inf
 
 
 def test_sparsify_rejects_heavy_probability():
