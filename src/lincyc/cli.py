@@ -61,6 +61,18 @@ def _config_argv(ap: argparse.ArgumentParser, argv: list[str], path: str) -> lis
     return argv[:1] + tokens + argv[1:]
 
 
+def _config_path(argv: list[str]) -> Optional[str]:
+    """The subcommand's --config value, found before the full parse so the
+    file can supply required flags.  A malformed --config is left for the
+    full parse to report."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config", type=str, default=None)
+    try:
+        return pre.parse_known_args(argv[1:])[0].config
+    except argparse.ArgumentError:
+        return None
+
+
 def _int_at_least(low: int):
     """argparse type: an integer no smaller than low."""
     def parse(text: str) -> int:
@@ -325,9 +337,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(argv if argv is not None else sys.argv[1:])
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-        if args.config:
-            args = ap.parse_args(_config_argv(ap, argv, args.config))
+        config = _config_path(argv)
+        args = ap.parse_args(_config_argv(ap, argv, config) if config else argv)
     except SystemExit as exc:
         # argparse exits 2 on a usage error; 2 here means an honest failure
         return 1 if exc.code else 0

@@ -93,11 +93,6 @@ class LinearHypergraph:
             return 0
         return min(self.degree(v) for v in self.vertices)
 
-    def degrees(self) -> tuple[int, float, dict[int, int]]:
-        """(min degree, average degree, per-vertex degree map)."""
-        per = {v: self.degree(v) for v in self.vertices}
-        return self.min_degree(), self.average_degree(), per
-
     def edge_through(self, u: int, v: int) -> Optional[Edge]:
         """The edge holding both u and v, or None; O(deg(u) r)."""
         return next((e for e in self.edges_at(u) if v in e and u != v), None)
@@ -158,6 +153,8 @@ class LinearHypergraph:
         if len(head) != 3:
             raise MalformedInput(f"header must be the three integers 'r n m', got {head}", head_no)
         r, n, m = head
+        if n < 0:
+            raise MalformedInput(f"vertex count n must be non-negative, got {n}", head_no)
         if len(body) != m:
             raise MalformedInput(f"header declares {m} edges, {len(body)} edge lines follow", head_no)
         return cls(n, r, [tuple(e) for _, e in body])
@@ -172,6 +169,8 @@ class LinearHypergraph:
         for key, ok in (("r", _is_int), ("n", _is_int), ("edges", _is_edge_list)):
             if not ok(obj.get(key)):
                 raise MalformedInput(f"graph JSON key {key!r} is missing or ill-typed")
+        if obj["n"] < 0:
+            raise MalformedInput(f"graph JSON key 'n' must be non-negative, got {obj['n']}")
         return cls(obj["n"], obj["r"], [tuple(e) for e in obj["edges"]])
 
     def to_json(self) -> str:
@@ -413,6 +412,8 @@ def verify_path(g: LinearHypergraph, edges: Sequence[Iterable[int]],
     if not es:
         return LinearPath((), endpoints)
     if endpoints is not None:
+        if len(endpoints) != 2:
+            raise InvalidWitness(f"endpoints {endpoints} must be a pair of vertices")
         x, y = endpoints
         first_free = set(es[0]) - (set(es[1]) if len(es) > 1 else set())
         last_free = set(es[-1]) - (set(es[-2]) if len(es) > 1 else set())

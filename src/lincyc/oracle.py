@@ -5,6 +5,18 @@ The cycle search runs a DFS over (pivot, edge) states.  Canonical form: the
 first edge has the smallest id in the cycle and the second edge id is smaller
 than the last, so each cycle is generated exactly once up to rotation and
 reflection.  The budget is counted in DFS node expansions.
+
+Closing edges are looked up, not scanned for.  A path from the first edge's
+vertex a to its pivot closes only through an edge f with f ∩ used == {pivot,
+a}; as pivot != a and the graph is linear, f is the one edge holding both.
+So each (first edge, a) gets a map from vertex to the edge at a holding it,
+built from the edges at a, and a popped state makes one lookup.  The scan of
+the pivot's edges then only extends the path, and at the last depth, where no
+extension fits, it is skipped.  Each state still closes at most one cycle and
+is pushed and popped exactly as before, with new pivots taken in the order of
+one set per edge, so witnesses come out in the same order and a budget stops
+at the same node with the same partial spectrum.  ``high_girth_sparsify``
+relies on that order: it deletes edges cycle by cycle.
 """
 
 from __future__ import annotations
@@ -55,16 +67,19 @@ def enumerate_cycles(
     expansions = 0
 
     edges = g.edges
-    m = len(edges)
-    for start in range(m):
-        e1 = edges[start]
-        e1_set = set(e1)
+    incident = g.incident
+    sets = [set(e) for e in edges]  # one per edge, so new pivots keep their order
+    for start, e1 in enumerate(edges):
+        e1_set = sets[start]
         # a = closing pivot on the first edge, w = pivot to extend from
         for a in e1:
+            # v -> the edge after start holding a and v: the one edge that
+            # can close a chain whose pivot is v
+            closer = {v: eid for eid in incident[a] if eid > start for v in edges[eid]}
             for w in e1:
                 if w == a:
                     continue
-                stack = [(w, [start], e1_set.copy())]
+                stack = [(w, [start], e1_set)]
                 while stack:
                     pivot, chain, used = stack.pop()
                     expansions += 1
@@ -74,35 +89,31 @@ def enumerate_cycles(
                             partial=Spectrum(max_len, lengths, counts, complete=False),
                         )
                     depth = len(chain)
-                    for eid in g.incident.get(pivot, ()):
-                        if eid <= start or eid in chain:
-                            continue
-                        f = set(edges[eid])
-                        inter = f & used
-                        if depth >= 2 and inter == {pivot, a} and depth + 1 >= 3:
-                            # closing edge; canonical: second edge id < last id
-                            if chain[1] < eid:
-                                t = depth + 1
-                                if t <= max_len:
-                                    lengths.add(t)
-                                    counts[t] = counts.get(t, 0) + 1
-                                    if witnesses is not None:
-                                        witnesses.append(
-                                            LinearCycle(
-                                                tuple(edges[i] for i in chain)
-                                                + (edges[eid],)
-                                            )
-                                        )
-                            continue
-                        if inter != {pivot}:
-                            continue
-                        if depth + 1 >= max_len:
-                            continue  # could only close at length > max_len
-                        nxt = [v for v in f if v != pivot]
-                        for new_pivot in nxt:
-                            stack.append(
-                                (new_pivot, chain + [eid], used | f)
+                    eid = closer.get(pivot)
+                    # closes iff it meets the chain only in pivot and a;
+                    # canonical: second edge id < last id
+                    if (eid is not None and depth >= 2 and chain[1] < eid
+                            and len(sets[eid] & used) == 2):
+                        t = depth + 1
+                        lengths.add(t)
+                        counts[t] = counts.get(t, 0) + 1
+                        if witnesses is not None:
+                            witnesses.append(
+                                LinearCycle(tuple(edges[i] for i in chain) + (edges[eid],))
                             )
+                    if depth + 1 >= max_len:
+                        continue  # an extension could only close past max_len
+                    for eid in incident[pivot]:
+                        if eid <= start:
+                            continue
+                        f = sets[eid]
+                        if len(f & used) != 1:
+                            continue  # f must meet the chain in pivot alone
+                        grown = chain + [eid]
+                        joined = used | f
+                        for new_pivot in f:
+                            if new_pivot != pivot:
+                                stack.append((new_pivot, grown, joined))
     return Spectrum(max_len, lengths, counts if count else {}, complete=True)
 
 

@@ -197,8 +197,7 @@ def test_criterion_5_tree_invariants_200_runs():
         sub, part = r_partite_reduction(g, seed=i)
         if sub.num_edges() == 0:
             continue
-        _, _, degs = sub.degrees()
-        root = min(sub.vertices, key=lambda v: (-degs.get(v, 0), v))
+        root = min(sub.vertices, key=lambda v: (-sub.degree(v), v))
         parts = list(part.parts)
         idx = next(j for j, p in enumerate(parts) if root in p)
         rotated = RPartition(

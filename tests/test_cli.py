@@ -113,6 +113,20 @@ def test_sweep_config_rejects_nan_bound(tmp_path, capsys):
     assert "argument --d-to:" in err and "Traceback" not in err
 
 
+def test_config_supplies_required_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d_from": 1, "d_to": 2}))
+    code, out, err = run(
+        ["sweep", "--n", "20", "--points", "2", "--trials", "1", "--seed", "0",
+         "--config", str(cfg)],
+        capsys,
+    )
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[0] == "d,trials,successes,mean_shortest,mean_bound"
+    assert [row.split(",")[:2] for row in lines[1:]] == [["1", "1"], ["2", "1"]]
+
+
 def test_config_switch_and_value_apply_like_flags(tmp_path, capsys):
     graph = tmp_path / "g.txt"
     graph.write_text("3 3 1\n0 1 2\n")

@@ -84,21 +84,18 @@ def test_pair_index_consistent(fano):
 
 
 def test_degrees_fano(fano):
-    mn, avg, per = fano.degrees()
-    assert mn == 3 and avg == pytest.approx(3.0)
-    assert all(d == 3 for d in per.values())
+    assert fano.min_degree() == 3 and fano.average_degree() == pytest.approx(3.0)
+    assert all(fano.degree(v) == 3 for v in fano.vertices)
 
 
 def test_degrees_single_edge():
     g = build(3, 3, [(0, 1, 2)])
-    mn, avg, _ = g.degrees()
-    assert mn == 1 and avg == pytest.approx(1.0)
+    assert g.min_degree() == 1 and g.average_degree() == pytest.approx(1.0)
 
 
 def test_degrees_two_disjoint_triples():
     g = build(6, 3, [(0, 1, 2), (3, 4, 5)])
-    mn, avg, _ = g.degrees()
-    assert mn == 1 and avg == pytest.approx(1.0)
+    assert g.min_degree() == 1 and g.average_degree() == pytest.approx(1.0)
 
 
 # -- projections -----------------------------------------------------------------
@@ -195,11 +192,36 @@ def test_verify_path_endpoints():
     assert p.length == 2 and p.connectors() == [2]
     with pytest.raises(InvalidWitness):
         verify_path(g, [(0, 1, 2), (2, 3, 4)], (2, 4))
+    for endpoints in [(), (0,), (0, 1, 2)]:
+        with pytest.raises(InvalidWitness, match="must be a pair"):
+            verify_path(g, [(0, 1, 2)], endpoints)
 
 
 def test_verify_rejects_foreign_edge(fano):
     with pytest.raises(InvalidWitness):
         verify_cycle(fano, [(0, 1, 2), (2, 3, 4), (0, 4, 5)])
+
+
+# mostly the graph's own vertices and edges, so every check of the verifier is reached
+witness_ints = st.integers(-2, 8) | st.integers()
+witness_edges = st.sampled_from(FANO_LINES).map(list) | st.lists(witness_ints, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(witness_edges, max_size=6),
+    st.none() | st.lists(witness_ints, max_size=4).map(tuple),
+)
+def test_verify_returns_a_witness_or_a_lincyc_error(edges, endpoints):
+    g = LinearHypergraph(7, 3, FANO_LINES)
+    try:
+        verify_cycle(g, edges)
+    except LincycError:
+        pass
+    try:
+        verify_path(g, edges, endpoints)
+    except LincycError:
+        pass
 
 
 # -- induced subgraphs -----------------------------------------------------------
@@ -341,6 +363,7 @@ def test_json_format_shape(fano):
     ("3 7 1\n\n0 1 2.0\n", 3),
     ("3 7 7\n0 1 2\n0 3 4\n", 1),
     ("3 7 1\n0 1 2\n0 3 4\n", 1),
+    ("3 -1 0\n", 1),
 ])
 def test_from_text_rejects_malformed_input(text, line):
     with pytest.raises(MalformedInput) as err:
@@ -365,6 +388,7 @@ def test_from_text_skips_blank_lines(fano):
     '{"r": 3, "n": 3, "edges": [0, 1, 2]}',
     '{"r": 3, "n": 3, "edges": [[0, 1, "2"]]}',
     '{"r": 3, "n": 3, "edges": {"0": [0, 1, 2]}}',
+    '{"r": 3, "n": -1, "edges": []}',
 ])
 def test_from_json_rejects_missing_or_ill_typed_keys(text):
     with pytest.raises(MalformedInput):
@@ -386,3 +410,27 @@ def test_from_text_returns_a_graph_or_a_lincyc_error(text):
     except LincycError:
         return
     assert LinearHypergraph.from_text(g.to_text()) == g
+
+
+# Integers stay below 10,001: the vertex set is built as frozenset(range(n)), so a
+# huge n costs memory rather than raising, which is a separate open item.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10_000) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=20,
+)
+graph_objects = st.fixed_dictionaries({
+    "r": st.integers(-1, 5) | json_values,
+    "n": st.integers(-3, 12) | json_values,
+    "edges": st.lists(st.lists(st.integers(-2, 12), max_size=5), max_size=6) | json_values,
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_objects | json_values)
+def test_from_json_obj_returns_a_graph_or_a_lincyc_error(obj):
+    try:
+        g = LinearHypergraph.from_json_obj(obj)
+    except LincycError:
+        return
+    assert LinearHypergraph.from_json_obj(g.to_json_obj()) == g

@@ -97,8 +97,7 @@ def test_invariants_and_determinism_on_random_inputs(seed):
     sub, part = r_partite_reduction(g, seed=seed)
     if sub.num_edges() == 0:
         pytest.skip("empty partite subgraph")
-    _, _, degs = sub.degrees()
-    root = min(sub.vertices, key=lambda v: (-degs.get(v, 0), v))
+    root = min(sub.vertices, key=lambda v: (-sub.degree(v), v))
     idx = next(i for i, p in enumerate(part.parts) if root in p)
     parts = [frozenset(p & sub.vertices) for p in part.parts]
     rotated = RPartition(tuple([parts[idx]] + [p for i, p in enumerate(parts) if i != idx]))

@@ -3,23 +3,30 @@ independent subset-based recount on tiny instances."""
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lincyc import (
     BudgetExceeded,
+    LinearCycle,
     LinearHypergraph,
     PreconditionFailed,
+    Spectrum,
     TooLarge,
     build,
     enumerate_cycles,
     girth,
+    greedy_partial_steiner,
     plant_cycles,
     rainbow_path_exists,
     verify_cycle,
 )
 from lincyc.errors import InvalidWitness
+from lincyc.oracle import DEFAULT_BUDGET
 from conftest import difference_projection, planted_c4, split_edges
 
 
@@ -82,12 +89,8 @@ def test_spectrum_monotone_in_cap():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_agrees_with_subset_recount(seed):
-    import random
-
     rng = random.Random(seed)
     # small random linear graphs with at most 12 edges
-    from lincyc import greedy_partial_steiner
-
     base = greedy_partial_steiner(12, 3, seed=seed, effort=2.0)
     kept = [e for e in base.edges if rng.random() < 0.9][:12]
     g = LinearHypergraph(12, 3, kept)
@@ -114,6 +117,100 @@ def test_spectrum_json(fano):
     obj = json.loads(enumerate_cycles(fano, 5).to_json())
     assert set(obj) == {"L", "lengths", "counts", "complete"}
     assert obj["complete"] is True
+
+
+# -- enumerate_cycles against the scan it replaced ------------------------------------
+#
+# enumerate_cycles looks the closing edge up instead of scanning for it, and skips
+# the scan at the last depth.  The reference below is the loop as first written:
+# every incident edge is scanned, for closing and extending alike.  Witness order,
+# counts and the budget's stopping point must be identical.
+
+
+def naive_enumerate_cycles(g, max_len, budget=DEFAULT_BUDGET, count=False, witnesses=None):
+    if max_len < 3:
+        raise PreconditionFailed("max_len must be at least 3")
+    lengths: set[int] = set()
+    counts: dict[int, int] = {}
+    expansions = 0
+    edges = g.edges
+    for start in range(len(edges)):
+        e1 = edges[start]
+        e1_set = set(e1)
+        for a in e1:
+            for w in e1:
+                if w == a:
+                    continue
+                stack = [(w, [start], e1_set.copy())]
+                while stack:
+                    pivot, chain, used = stack.pop()
+                    expansions += 1
+                    if expansions > budget:
+                        raise BudgetExceeded(
+                            f"node budget {budget} exceeded",
+                            partial=Spectrum(max_len, lengths, counts, complete=False),
+                        )
+                    depth = len(chain)
+                    for eid in g.incident.get(pivot, ()):
+                        if eid <= start or eid in chain:
+                            continue
+                        f = set(edges[eid])
+                        inter = f & used
+                        if depth >= 2 and inter == {pivot, a} and depth + 1 >= 3:
+                            if chain[1] < eid:
+                                t = depth + 1
+                                if t <= max_len:
+                                    lengths.add(t)
+                                    counts[t] = counts.get(t, 0) + 1
+                                    if witnesses is not None:
+                                        witnesses.append(LinearCycle(
+                                            tuple(edges[i] for i in chain) + (edges[eid],)
+                                        ))
+                            continue
+                        if inter != {pivot}:
+                            continue
+                        if depth + 1 >= max_len:
+                            continue
+                        for new_pivot in [v for v in f if v != pivot]:
+                            stack.append((new_pivot, chain + [eid], used | f))
+    return Spectrum(max_len, lengths, counts if count else {}, complete=True)
+
+
+def outcome(enumerate, g, max_len, budget):
+    """Everything observable: spectrum or budget partial, and the witnesses."""
+    found: list[LinearCycle] = []
+    try:
+        spec = enumerate(g, max_len, budget=budget, count=True, witnesses=found)
+        stopped = False
+    except BudgetExceeded as err:
+        spec, stopped = err.partial, True
+    return stopped, spec.to_json(), found
+
+
+@st.composite
+def oracle_cases(draw):
+    r = draw(st.sampled_from([3, 4, 5]))
+    seed = draw(st.integers(0, 2**32))
+    if draw(st.booleans()):
+        lengths = draw(st.lists(st.integers(3, 8), min_size=1, max_size=2))
+        n = sum((r - 1) * t for t in lengths) + draw(st.integers(0, 20))
+        density = draw(st.sampled_from([0.0, 0.3, 0.6]))
+        g, _ = plant_cycles(n, r, lengths, background_density=density, seed=seed)
+    else:
+        n = draw(st.integers(r + 1, 40))
+        base = greedy_partial_steiner(n, r, seed=seed, effort=1.0)
+        keep = draw(st.floats(0.1, 1.0))
+        rng = random.Random(seed)
+        g = LinearHypergraph(n, r, [e for e in base.edges if rng.random() < keep][:40])
+    max_len = draw(st.integers(3, 8))
+    budget = draw(st.just(DEFAULT_BUDGET) | st.integers(1, 3000))
+    return g, max_len, budget
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_cases())
+def test_lookup_enumeration_matches_the_scan(case):
+    assert outcome(enumerate_cycles, *case) == outcome(naive_enumerate_cycles, *case)
 
 
 # -- girth ---------------------------------------------------------------------------
