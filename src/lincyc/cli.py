@@ -171,7 +171,7 @@ def cmd_verify(args) -> int:
     with open(args.cycles) as fh:
         payload = json.load(fh)
     if isinstance(payload, dict):
-        payload = payload.get("cycles", [])
+        payload = payload.get("cycles")  # an object without a cycles list is malformed
     if not (isinstance(payload, list) and all(map(_is_edge_list, payload))):
         raise MalformedInput("cycles JSON must be a list of cycles, each a list of integer edges")
     bad = []

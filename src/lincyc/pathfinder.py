@@ -81,13 +81,12 @@ def _average_degree(edges: Sequence[Edge], r: int) -> float:
 
 def _layer_condition(edges: Sequence[Edge], lay: BfsLayers, m: int) -> bool:
     lm = lay.layer(m)
-    early = {v for v, i in lay.dist.items() if i < m}
-    for e in edges:
-        if not any(v in lm for v in e):
-            return False
-        if any(v in early for v in e):
-            return False
-    return True
+    return all(any(v in lm for v in e) for e in edges) and _avoids_earlier_layers(edges, lay, m)
+
+
+def _avoids_earlier_layers(edges: Sequence[Edge], lay: BfsLayers, m: int) -> bool:
+    early = frozenset().union(*lay.layers[:m])
+    return not any(v in early for e in edges for v in e)
 
 
 # -- anchored subgraph (random subsampling with verify-and-retry) --------------
@@ -124,58 +123,70 @@ def anchored_subgraph(
     good_enough = max(4.0, threshold)
     best: Optional[AnchoredSubgraph] = None
     best_low = 0  # a kept core has minimum degree at least 1
+    # the draw index, built once per call: the draws pick anchors from v_m only,
+    # so an edge's layer-m vertices decide whether it holds exactly one.  own[v]
+    # lists the edges whose one layer-m vertex is v; multi keeps the rest (every
+    # edge of h meets layer m), which a draw intersects with its anchors.  For
+    # m > 0 an anchor is admissible only if no other vertex of its parent edge
+    # is drawn, and only the parent-edge vertices in v_m can be drawn.
+    in_m = set(v_m)
+    own: dict[int, list[Edge]] = {v: [] for v in v_m}
+    multi: list[Edge] = []
+    for e in h.edges:
+        hits = [v for v in e if v in in_m]
+        if len(hits) == 1:
+            own[hits[0]].append(e)
+        else:
+            multi.append(e)
+    del h  # the draws read only the index; free h's incidence maps before them
+    siblings = {v: [u for u in lay.parent_edge[v] if u != v and u in in_m]
+                for v in v_m} if m > 0 else {}
+    # witness cache, filled as anchors reach V(F): the vertices of each
+    # anchor's BFS path other than the anchor, which must stay out of V(F).
+    # The paths themselves are rebuilt only for a draw that is kept.
+    passengers: dict[int, tuple[int, ...]] = {}
+
     # the even draw is the analysable one; the skewed draws keep far more
     # edges when most of an edge's vertices sit in the target layer
     schedule = [(0.5, 0.5), (1.0 / g.r, 1.0), (0.25, 1.0), (0.35, 0.7)]
     for attempt in range(ANCHOR_ATTEMPTS):
         px, py = schedule[attempt % len(schedule)]
         xs = {v for v in v_m if rng.random() < px}
-        good = [e for e in h.edges if len(xs.intersection(e)) == 1]
-        if not good:
+        # ys is drawn only when some edge holds exactly one vertex of xs
+        if not (any(own[v] for v in xs) or any(len(xs.intersection(e)) == 1 for e in multi)):
             continue
         ys = {v for v in xs if rng.random() < py}
-        nice = []
-        for e in good:
-            (vf,) = xs.intersection(e)
-            if vf not in ys:
-                continue
-            if m > 0:
-                last_edge = lay.parent_edge[vf]
-                if ys.intersection(last_edge) != {vf}:
-                    continue
-            nice.append(e)
+        ok_ys = {v for v in ys if ys.isdisjoint(siblings[v])} if m > 0 else ys
+        nice = [e for v in ok_ys for e in own[v]]
+        for e in multi:
+            inx = xs.intersection(e)
+            if len(inx) == 1 and inx.pop() in ok_ys:
+                nice.append(e)
         kept, low = min_degree_core(nice, g.r, _average_degree(nice, g.r))
         anchors = frozenset(ys)
         # witness paths may carry passengers into V(F); one repair pass drops
         # every edge touching such a passenger, after which no hit can remain
         fv = {v for e in kept for v in e}
-        bad: set[int] = set()
-        for v in sorted(fv & anchors):
-            p = lay.path_to(v)
-            bad |= (p.vertex_set() - {v}) & fv
+        for v in (fv & anchors) - passengers.keys():
+            passengers[v] = tuple(lay.path_to(v).vertex_set() - {v})
+        bad = {u for v in fv & anchors for u in passengers[v] if u in fv}
         if bad:
             kept = [e for e in kept if not bad.intersection(e)]
             kept, low = min_degree_core(kept, g.r, _average_degree(kept, g.r))
             fv = {v for e in kept for v in e}
         if not kept or low < threshold:
             continue
-        if not _anchored_ok(kept, anchors, lay, m):
+        hit = sorted(fv & anchors)
+        if not hit or any(not fv.isdisjoint(passengers[v]) for v in hit):
             continue
-        paths = {}
-        ok = True
-        for v in sorted(fv & anchors):
-            p = lay.path_to(v)
-            hits = (p.vertex_set() or {v}) & fv
-            if hits != {v}:
-                ok = False
-                break
-            paths[v] = p
-        if not ok or not paths:
-            continue
-        # only a draw that is kept or returned becomes a graph; best_low stays
-        # below good_enough, so a draw that reaches it is always kept
+        # only a draw that is kept or returned becomes a graph, and is checked
+        # for P1 and P2; best_low stays below good_enough, so a draw that
+        # reaches it is always kept
         if low > best_low:
-            best, best_low = AnchoredSubgraph(m, anchors, g.edge_induced(kept), paths, lay), low
+            if not _anchored_ok(kept, anchors, lay, m):
+                raise InvariantViolation("an anchored draw breaks P1 or P2")
+            best, best_low = AnchoredSubgraph(
+                m, anchors, g.edge_induced(kept), {v: lay.path_to(v) for v in hit}, lay), low
             if low >= good_enough:
                 return best
         if attempt >= 60:
@@ -186,13 +197,10 @@ def anchored_subgraph(
 
 
 def _anchored_ok(edges: Sequence[Edge], anchors: frozenset[int], lay: BfsLayers, m: int) -> bool:
-    early = {v for v, i in lay.dist.items() if i < m}
-    for e in edges:
-        if len(anchors.intersection(e)) != 1:
-            return False
-        if any(v in early for v in e):
-            return False
-    return True
+    """P1 and P2: each edge holds exactly one anchor and avoids every layer
+    before m."""
+    return (all(len(anchors.intersection(e)) == 1 for e in edges)
+            and _avoids_earlier_layers(edges, lay, m))
 
 
 # -- long path with a transversal part ----------------------------------------

@@ -3,13 +3,16 @@ by linear-path distance, first-order d-minimal subgraphs, and the random
 r-partite reduction.
 
 All randomized operations take an explicit seed and are deterministic given
-it.  The three peeling routines share one rule, `_peel`: delete the live vertex
-of least (live degree, id) until it meets a stop rule.  Each stop rule is
+it.  The two peels whose deletion order is part of the result, `d_minimal`
+and `degenerate_ordering`, share one rule, `_peel`: delete the live vertex of
+least (live degree, id) until it meets a stop rule.  Each stop rule is
 monotone in the degree, so the least vertex can go exactly when any vertex
 can, and a lazy min-heap deletes the same vertices in the same order as a
 rescan of every live vertex (Matula-Beck smallest-last, Batagelj-Zaversnik).
-`_peel` indexes the edge list it is given, so `min_degree_core` peels a bare
-edge list, and the anchored draws in `pathfinder` build no graph per draw.
+`min_degree_core` needs no order: the core of minimum degree at least d/r is
+unique, so a worklist deletes each vertex once it falls below d/r, with no
+heap.  It peels a bare edge list, so the anchored draws in `pathfinder` build
+no graph per draw.
 
 The r-partite reduction (Erdős–Kleitman) hill-climbs a random balanced
 r-partition one vertex at a time until the transversal edges reach r!/r^r of
@@ -23,8 +26,9 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .core import Edge, LinearHypergraph, LinearPath, Pair, RPartition, _pair
@@ -72,10 +76,31 @@ def _peel(edges, vertices, stop) -> tuple[list[int], set[int], list[bool]]:
 def min_degree_core(edges: Sequence[Edge], r: int, d: float) -> tuple[list[Edge], int]:
     """The edges left after peeling every vertex of degree below d/r, in
     input order, and their minimum degree (0 when none is left).  The
-    survivors are the unique such core, whatever the deletion order."""
-    _, _, live = _peel(edges, None, lambda k, a, e: k * r >= d)
+    survivors are the unique such core, whatever the deletion order, so a
+    vertex joins the worklist once, when its degree first drops below d/r."""
+    incident: dict[int, list[int]] = {}
+    for eid, e in enumerate(edges):
+        for v in e:
+            incident.setdefault(v, []).append(eid)
+    deg = {v: len(eids) for v, eids in incident.items()}
+    live = [True] * len(edges)
+    # a vertex stays while k * r >= d; the negated form deletes every vertex
+    # for a NaN d, as the smallest-last peel did
+    work = [v for v, k in deg.items() if not k * r >= d]
+    while work:
+        v = work.pop()
+        deg[v] = 0  # every edge at v dies now, so nothing lowers deg[v] again
+        for eid in incident[v]:
+            if live[eid]:
+                live[eid] = False
+                for u in edges[eid]:
+                    if u != v:
+                        k = deg[u]
+                        deg[u] = k - 1
+                        if k * r >= d and not (k - 1) * r >= d:
+                            work.append(u)
     kept = [e for e, ok in zip(edges, live) if ok]
-    low = min(Counter(v for e in kept for v in e).values(), default=0)
+    low = min((k for k in deg.values() if k), default=0)
     if kept and low * r < d:
         raise InvariantViolation("core minimum degree below the peeling threshold")
     return kept, low
@@ -141,14 +166,15 @@ class BfsLayers:
     parent_vertex: dict[int, int]
     parent_edge: dict[int, tuple[int, ...]]
 
-    @property
-    def layers(self) -> list[frozenset[int]]:
+    @cached_property
+    def layers(self) -> tuple[frozenset[int], ...]:
+        """Built once per instance; dist is not changed after bfs_layers."""
         if not self.dist:
-            return []
+            return ()
         out: list[set[int]] = [set() for _ in range(max(self.dist.values()) + 1)]
         for v, i in self.dist.items():
             out[i].add(v)
-        return [frozenset(s) for s in out]
+        return tuple(frozenset(s) for s in out)
 
     def layer(self, i: int) -> frozenset[int]:
         ls = self.layers

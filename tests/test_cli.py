@@ -6,8 +6,11 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lincyc import LinearHypergraph, cli, enumerate_cycles
+from conftest import FANO_LINES
 
 
 def run(argv, capsys):
@@ -234,8 +237,8 @@ def test_usage_error_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "payload",
-    [[1, 2], {"cycles": 5}, [[[0, 1, "a"], [1, 3, 5], [0, 3, 4]]], [[0, 1, 2]]],
-    ids=["list-of-ints", "cycles-not-a-list", "string-vertex", "cycle-of-ints"],
+    [[1, 2], {"cycles": 5}, {"foo": 1}, [[[0, 1, "a"], [1, 3, 5], [0, 3, 4]]], [[0, 1, 2]]],
+    ids=["list-of-ints", "cycles-not-a-list", "no-cycles-key", "string-vertex", "cycle-of-ints"],
 )
 def test_verify_malformed_cycles_exits_one(tmp_path, capsys, fano, payload):
     graph = tmp_path / "g.txt"
@@ -245,6 +248,35 @@ def test_verify_malformed_cycles_exits_one(tmp_path, capsys, fano, payload):
     code, out, err = run(["verify", "--input", str(graph), "--cycles", str(cycles)], capsys)
     assert code == 1 and out == ""
     assert err.startswith("error: cycles JSON") and "Traceback" not in err
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=20,
+)
+# mostly the graph's own lines, so payloads that verify, fail and are malformed all occur
+cycle_lists = st.lists(
+    st.lists(st.sampled_from(FANO_LINES).map(list) | st.lists(st.integers(-2, 8), max_size=4),
+             max_size=5),
+    max_size=3,
+)
+payloads = (cycle_lists | cycle_lists.map(lambda c: {"cycles": c}) | json_values
+            | st.dictionaries(st.sampled_from(["cycles", "x"]), cycle_lists | json_values))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payloads)
+def test_verify_any_cycles_payload_exits_cleanly(tmp_path, capsys, fano, payload):
+    graph = tmp_path / "g.txt"
+    graph.write_text(fano.to_text())
+    cycles = tmp_path / "c.json"
+    cycles.write_text(json.dumps(payload))
+    code, out, err = run(["verify", "--input", str(graph), "--cycles", str(cycles)], capsys)
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 0:
+        assert out.endswith("cycles verify\n") and err == ""
 
 
 @pytest.mark.parametrize(

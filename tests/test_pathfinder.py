@@ -4,6 +4,7 @@ rainbow path search."""
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from typing import Optional
@@ -36,6 +37,7 @@ from lincyc.pathfinder import (
     check_rainbow_special,
     layer_index_bound,
 )
+from lincyc.reductions import max_degree_root
 from conftest import difference_projection, split_edges, transversal_regular_instance
 
 
@@ -289,6 +291,43 @@ def test_draws_match_the_graph_per_draw_reference(case):
     assert settle(dense_layer_subgraph, g, x, d) == settle(naive_dense_layer_subgraph, g, x, d)
     assert (settle(anchored_subgraph, g, x, d, seed)
             == settle(naive_anchored_subgraph, g, x, d, seed))
+
+
+# The property above stops at n <= 90.  These cases are the all-lengths
+# pipeline's own first call at the benchmark's sizes: a greedy packing
+# sparsified to average degree about d, its core, the density d_eff that
+# consecutive_cycles picks at k = 2 and its max-degree root.  Every case lands
+# on m = 1, has edges with two or more layer-m vertices (the draw index's
+# multi list), and has draws whose witness paths run into V(F) (a non-empty
+# repair set); so does the property.  m = 0 is out of reach for any input that
+# passes dense_layer_subgraph's precondition 1 <= d <= delta/2: the edges at
+# the root would have to be half of those meeting L_1, and then the others
+# meeting L_1 already reach average degree (delta - 1)/2 > d/4 and win as m = 1.
+
+
+def _pipeline_case(n, d, seed):
+    base = greedy_partial_steiner(n, 3, seed=seed)
+    rng = random.Random(seed)
+    p = min(1.0, d * n / (3 * base.num_edges()))
+    g = build(n, 3, [e for e in base.edges if rng.random() < p])
+    core = min_degree_subgraph(g, g.average_degree())
+    delta = core.min_degree()
+    theory_d = 3**1.5 * 2 ** (2 * 3 + 2) * math.sqrt(delta * 2)
+    d_eff = theory_d if theory_d <= delta / 2 else max(1.0, delta / 2)
+    return core, max_degree_root(core), d_eff
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("d", [18, 36])
+@pytest.mark.parametrize("n", [150, 300])
+def test_draws_match_the_reference_at_workload_scale(n, d, seed):
+    g, x, d_eff = _pipeline_case(n, d, seed)
+    got = settle(anchored_subgraph, g, x, d_eff, seed)
+    assert got == settle(naive_anchored_subgraph, g, x, d_eff, seed)
+    m, h = dense_layer_subgraph(g, x, d_eff)
+    assert got[0] == m == 1
+    lm = bfs_layers(g, x).layer(m)
+    assert any(len(lm.intersection(e)) >= 2 for e in h.edges)
 
 
 # -- path_with_part -----------------------------------------------------------------

@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lincyc import (
@@ -26,7 +27,7 @@ from lincyc import (
     min_degree_subgraph,
     r_partite_reduction,
 )
-from lincyc.reductions import PeelResult
+from lincyc.reductions import PeelResult, min_degree_core
 from conftest import FANO_LINES
 
 
@@ -341,6 +342,45 @@ def test_hypergraph_peels_match_naive_rescan(case):
     got = d_minimal(g, d)
     assert got.vertices == frozenset(alive)
     assert got.edges == g.induced(alive).edges
+
+
+def naive_core(edges, r, d):
+    """Drop every edge at a vertex of degree below d/r, all at once, until
+    none is left; the kept edges in input order and their minimum degree."""
+    kept = list(edges)
+    while True:
+        deg = Counter(v for e in kept for v in e)
+        low = {v for v, k in deg.items() if k * r < d}
+        if not low:
+            return kept, min(deg.values(), default=0)
+        kept = [e for e in kept if not low.intersection(e)]
+
+
+@st.composite
+def edge_lists(draw):
+    """A bare edge list on at most 12 vertices, linear or not, with a
+    threshold: its average degree, a quarter grid that runs past r times every
+    degree, d = r*k where a vertex of degree k sits on the stop rule's
+    boundary, or just above r times the largest degree."""
+    r = draw(st.sampled_from([2, 3, 4]))
+    edge = st.sets(st.integers(0, 11), min_size=r, max_size=r).map(lambda s: tuple(sorted(s)))
+    edges = draw(st.lists(edge, max_size=30))
+    deg = Counter(v for e in edges for v in e)
+    top = max(deg.values(), default=0)
+    average = r * len(edges) / len(deg) if deg else 0.0
+    quarter = draw(st.integers(min_value=0, max_value=4 * r * (top + 1))) / 4
+    boundary = r * draw(st.integers(min_value=1, max_value=4))
+    return edges, r, draw(st.sampled_from([average, quarter, boundary, r * top + 0.5]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists())
+@example(([], 3, 0.0))
+@example(([], 2, 1.5))
+@example(([(0, 1, 2), (0, 3, 4)], 3, 7.0))
+def test_min_degree_core_matches_naive_rescan(case):
+    edges, r, d = case
+    assert min_degree_core(edges, r, d) == naive_core(edges, r, d)
 
 
 @settings(max_examples=300, deadline=None)
