@@ -251,37 +251,28 @@ def _paste_internal(g, mert, bundle, colored, sub, owner, vof) -> LinearCycle:
 # -- layer filters, shared by the layer scan and both constructions -------------
 
 
-def _boundary_edges(g: LinearHypergraph, mert: Mert, t: int, k: int) -> tuple[list, int]:
+def _filed_level(g: LinearHypergraph, mert: Mert, t: int) -> None:
+    if g is not mert.graph:
+        raise PreconditionFailed("the tree was built on another graph")
+    if not (1 <= t <= mert.height):
+        raise PreconditionFailed(f"t={t} outside 1..{mert.height}")
+
+
+def _boundary_edges(g: LinearHypergraph, mert: Mert, t: int, k: int) -> tuple[tuple, int]:
     """The D-edges at level t, which meet L_{t-1} and the rest of segment t
     and avoid the earlier segments, and the count 8k r(r-1)(|L_{t-1}|+|L_t|)
     the boundary construction needs."""
-    if not (1 <= t <= mert.height):
-        raise PreconditionFailed(f"t={t} outside 1..{mert.height}")
-    lt1 = mert.levels[t - 1]
-    inner = mert.segment_vertices(t) - lt1
-    early = mert.cumulative_vertices(t - 1) - lt1
-    d_edges = [
-        e
-        for e in g.edges
-        if lt1.intersection(e) and inner.intersection(e) and not early.intersection(e)
-    ]
-    return d_edges, 8 * k * g.r * (g.r - 1) * (len(lt1) + len(mert.levels[t]))
+    _filed_level(g, mert, t)
+    size = len(mert.levels[t - 1]) + len(mert.levels[t])
+    return mert.d_edges[t], 8 * k * g.r * (g.r - 1) * size
 
 
-def _internal_edges(g: LinearHypergraph, mert: Mert, t: int, k: int) -> tuple[list, int]:
+def _internal_edges(g: LinearHypergraph, mert: Mert, t: int, k: int) -> tuple[tuple, int]:
     """The F-edges at level t, which avoid the earlier segments and meet
     segment t at least twice, and the count 8k r^(r+2)|L_t| the internal
     construction needs."""
-    if not (1 <= t <= mert.height):
-        raise PreconditionFailed(f"t={t} outside 1..{mert.height}")
-    vht = mert.segment_vertices(t)
-    early = mert.cumulative_vertices(t - 1)
-    f_edges = [
-        e
-        for e in g.edges
-        if not early.intersection(e) and len(vht.intersection(e)) >= 2
-    ]
-    return f_edges, 8 * k * g.r ** (g.r + 2) * len(mert.levels[t])
+    _filed_level(g, mert, t)
+    return mert.f_edges[t], 8 * k * g.r ** (g.r + 2) * len(mert.levels[t])
 
 
 # -- boundary construction (even lengths) --------------------------------------
@@ -316,8 +307,6 @@ def cycles_from_boundary(
     ys = frozenset(v for v in partition.parts[side] if v in vht)
     dprime = [e for e in d_edges if lt1.intersection(e) and ys.intersection(e)]
     b = project(g.edge_induced(dprime), partition, ell, side)
-    if len(b.edges) != len(dprime):
-        raise InvariantViolation("boundary projection lost edges")
     bprime = dense_connected(b)
     s = sorted(bprime.vertices & lt1)
     if len(s) < 2:
@@ -402,8 +391,6 @@ def cycles_from_internal(
     pi, pj = max(sorted(pair_count), key=lambda key: (pair_count[key], (-key[0], -key[1])))
     f2 = [e for e in fprime.edges if pi in eligible[e] and pj in eligible[e]]
     b = project(g.edge_induced(f2), partition, pi, pj)
-    if len(b.edges) != len(f2):
-        raise InvariantViolation("internal projection lost edges")
     bstar = dense_connected(b)
     s = sorted({vof[y] for y in bstar.vertices})
     if len(s) < 2:

@@ -3,26 +3,34 @@
 `build_mert` grows a rooted tree level by level: each level's vertices sit in
 a single partite class, each tree edge expands to a full hyperedge, and the
 induced coloring (hyperedge minus its two tree endpoints) is strongly rainbow.
-The companion utilities expand tree paths back into hyperedge paths and
-anchor/label vertex sets for cycle pasting.
+It also files the graph's edges under the levels where the boundary (D-edge)
+and internal (F-edge) constructions can use them.  The companion utilities
+expand tree paths back into hyperedge paths and anchor/label vertex sets for
+cycle pasting.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import LinearHypergraph, LinearPath, Pair, RPartition, _pair, verify_path
+from .core import Edge, LinearHypergraph, LinearPath, Pair, RPartition, _pair, verify_path
 from .errors import InvariantViolation, PreconditionFailed, SingletonS
 
 
 @dataclass
 class Mert:
-    """Root, height, per-level segments/matchings, parent map and the rainbow
-    tree coloring chi.  segments[i] holds edge ids of the i-th segment;
-    levels[i] the tree vertices at depth i; matchings[i] the (r-1)-sets whose
-    expansion forms segment i+1."""
+    """Root, height, per-level segments/matchings, parent map, the rainbow
+    tree coloring chi, and the graph's edges filed by level.  segments[i]
+    holds edge ids of the i-th segment; levels[i] the tree vertices at depth
+    i; matchings[i] the (r-1)-sets whose expansion forms segment i+1.
+
+    d_edges[t] holds the D-edges at level t: those meeting L_{t-1} and the
+    rest of segment t and avoiding every earlier segment elsewhere.
+    f_edges[t] holds the F-edges at level t: those avoiding segments
+    0..t-1 and meeting segment t at least twice.  Both are in edge-id order
+    for t in 1..height, and empty at t = 0."""
 
     root: int
     height: int
@@ -35,19 +43,16 @@ class Mert:
     tree_edge: dict[int, tuple[int, ...]]
     chi: dict[Pair, frozenset[int]]
     part_of_level: tuple[int, ...]
-    _vset_cache: dict[int, frozenset[int]] = field(default_factory=dict, repr=False)
+    d_edges: tuple[tuple[Edge, ...], ...]
+    f_edges: tuple[tuple[Edge, ...], ...]
 
     def segment_edges(self, i: int) -> list[tuple[int, ...]]:
         return [self.graph.edges[eid] for eid in self.segments[i]]
 
     def segment_vertices(self, i: int) -> frozenset[int]:
-        if i not in self._vset_cache:
-            if i == 0:
-                vs = frozenset({self.root})
-            else:
-                vs = frozenset(v for e in self.segment_edges(i) for v in e)
-            self._vset_cache[i] = vs
-        return self._vset_cache[i]
+        if i == 0:
+            return frozenset({self.root})
+        return frozenset(v for e in self.segment_edges(i) for v in e)
 
     def cumulative_vertices(self, i: int) -> frozenset[int]:
         out: set[int] = set()
@@ -91,90 +96,72 @@ def build_mert(g: LinearHypergraph, partition: RPartition, x: int) -> Mert:
     the smallest class index; matchings are greedy maximal scanning edges in
     ascending id order.
 
-    Attachable edges at step i are those meeting the cumulative vertex set in
-    exactly one vertex, that vertex fresh to segment i; this keeps every later
-    segment disjoint from all earlier ones except at its level vertices.
+    Attachable edges at step i are those meeting the tree in exactly one
+    vertex, that vertex fresh to segment i; this keeps every later segment
+    disjoint from all earlier ones except at its level vertices.  So the
+    growth keeps one map, first[v], the index of the first segment holding
+    v: an attachable edge lies at a fresh vertex, and its other vertices are
+    not in the map.  One pass over the edges then files them by level.
     """
     partition.check(g)
     pm = partition.index_map()
     if pm.get(x) != 0:
         raise PreconditionFailed(f"root {x} must lie in the first part")
-    r = g.r
 
     star = sorted(g.incident.get(x, ()))
     segments: list[tuple[int, ...]] = [tuple(), tuple(star)]
-    seg_vsets = [frozenset({x})]
-    seg_vsets.append(frozenset(v for eid in star for v in g.edges[eid]) | {x})
+    first = {x: 0}
     levels: list[frozenset[int]] = [frozenset({x})]
     part_of_level = [0]
     parent: dict[int, int] = {}
     tree_edge: dict[int, tuple[int, ...]] = {}
     chi: dict[Pair, frozenset[int]] = {}
     matchings: dict[int, tuple[tuple[int, ...], ...]] = {}
-    # p_v and the hyperedge that introduced v, for the current fresh vertices
+    # p_v and the hyperedge that introduced v, for the vertices fresh to the
+    # current segment
     pending: dict[int, tuple[int, tuple[int, ...]]] = {}
     for eid in star:
         for v in g.edges[eid]:
             if v != x and v not in pending:
                 pending[v] = (x, g.edges[eid])
 
-    cum = seg_vsets[0] | seg_vsets[1]
     i = 1
     while True:
-        fresh = seg_vsets[i] - seg_vsets[i - 1]
-        attach: list[tuple[int, int]] = []  # (edge id, attachment vertex)
-        for eid, e in enumerate(g.edges):
-            hit = [v for v in e if v in cum]
-            if len(hit) == 1 and hit[0] in fresh:
-                attach.append((eid, hit[0]))
-
-        if not attach:
-            ell = part_of_level[i - 1]
-            cand = frozenset(v for v in fresh if pm[v] == 1)
-            part = 1
-            if not cand:
-                by_part = sorted({pm[v] for v in fresh if pm[v] != ell})
-                if by_part:
-                    part = by_part[0]
-                    cand = frozenset(v for v in fresh if pm[v] == part)
-            levels.append(cand)
-            part_of_level.append(part)
-            for v in sorted(cand):
-                p, disc = pending[v]
-                parent[v] = p
-                tree_edge[v] = disc
-                chi[_pair(p, v)] = frozenset(disc) - {p, v}
-            height = i
-            break
-
-        ell = part_of_level[i - 1]
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for eid, v in attach:
-            groups.setdefault(pm[v], []).append((eid, v))
-        groups.pop(ell, None)
-        if not groups:
-            # attachment vertices all in the forbidden class: cannot happen in
-            # a proper r-partition, treat as termination
-            levels.append(frozenset())
-            part_of_level.append((ell + 1) % r)
-            height = i
-            break
-        s = max(sorted(groups), key=lambda j: (len(groups[j]), -j))
-        chosen = sorted(groups[s])
-        level = frozenset(v for _, v in chosen)
+        for v in pending:
+            first[v] = i
+        attach = sorted(  # (edge id, attachment vertex)
+            (eid, v)
+            for v in pending
+            for eid in g.incident[v]
+            if len(first.keys() & g.edges[eid]) == 1
+        )
+        # a fresh vertex shares an edge with a level-(i-1) vertex, so no
+        # candidate lies in that level's class
+        if attach:
+            groups: dict[int, list[tuple[int, int]]] = {}
+            for eid, v in attach:
+                groups.setdefault(pm[v], []).append((eid, v))
+            part = max(groups, key=lambda j: (len(groups[j]), -j))
+            level = frozenset(v for _, v in groups[part])
+        else:
+            classes = {pm[v] for v in pending}
+            part = 1 if 1 in classes else min(classes, default=1)
+            level = frozenset(v for v in pending if pm[v] == part)
         levels.append(level)
-        part_of_level.append(s)
+        part_of_level.append(part)
         for v in sorted(level):
             p, disc = pending[v]
             parent[v] = p
             tree_edge[v] = disc
             chi[_pair(p, v)] = frozenset(disc) - {p, v}
+        if not attach:
+            break
 
         used: set[int] = set()
         m_list: list[tuple[int, ...]] = []
         next_ids: list[int] = []
         new_pending: dict[int, tuple[int, tuple[int, ...]]] = {}
-        for eid, v in chosen:
+        for eid, v in groups[part]:
             residue = tuple(sorted(u for u in g.edges[eid] if u != v))
             if any(u in used for u in residue):
                 continue
@@ -185,24 +172,42 @@ def build_mert(g: LinearHypergraph, partition: RPartition, x: int) -> Mert:
                 new_pending[u] = (v, g.edges[eid])
         matchings[i] = tuple(m_list)
         segments.append(tuple(next_ids))
-        vset = frozenset(v for eid in next_ids for v in g.edges[eid])
-        seg_vsets.append(vset)
-        cum = cum | vset
         pending = new_pending
         i += 1
 
+    # A segment meets the earlier ones only in level vertices, so with lo the
+    # smallest first index on an edge: it is an F-edge at lo when it holds two
+    # or more vertices of index lo, and a D-edge at lo + 1 when it holds one,
+    # a level vertex, and also a vertex of index lo + 1.  (An edge has one
+    # vertex per class and a level lies in one class, so an edge with two
+    # vertices of index lo is never a D-edge.)  A vertex off the tree reads
+    # index i + 2, past every segment, so neither test counts it.
+    d_edges: list[list[Edge]] = [[] for _ in range(i + 1)]
+    f_edges: list[list[Edge]] = [[] for _ in range(i + 1)]
+    for e in g.edges:
+        idx = [first.get(v, i + 2) for v in e]
+        lo = min(idx)
+        if lo > i:
+            continue
+        if idx.count(lo) >= 2:
+            f_edges[lo].append(e)
+        elif lo + 1 in idx and e[idx.index(lo)] in levels[lo]:
+            d_edges[lo + 1].append(e)
+
     out = Mert(
         root=x,
-        height=height,
+        height=i,
         graph=g,
         partition=partition,
-        segments=tuple(segments[: height + 1]),
+        segments=tuple(segments),
         levels=tuple(levels),
         matchings=matchings,
         parent=parent,
         tree_edge=tree_edge,
         chi=chi,
         part_of_level=tuple(part_of_level),
+        d_edges=tuple(map(tuple, d_edges)),
+        f_edges=tuple(map(tuple, f_edges)),
     )
     _check_invariants(out)
     return out
@@ -229,9 +234,10 @@ def _check_invariants(m: Mert) -> None:
             if set(t) & flat:
                 raise InvariantViolation(f"matching {i} members overlap")
             flat |= set(t)
+    early: set[int] = set()
     for i in range(2, m.height + 1):
         prev_level = m.levels[i - 1]
-        early = m.cumulative_vertices(i - 2)
+        early |= m.segment_vertices(i - 2)
         for e in m.segment_edges(i):
             if len(prev_level.intersection(e)) != 1:
                 raise InvariantViolation("segment edge misses its level")

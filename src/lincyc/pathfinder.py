@@ -41,9 +41,13 @@ def dense_layer_subgraph(
     L_m(x) and avoid every earlier layer, with m bounded by
     ceil(log n / log(delta/d)).
 
-    When the majority split at i=1 would give m=0 (every edge through x), the
-    minority branch is preferred whenever it still meets the density bound, so
-    downstream anchored constructions get a usable positive m.
+    Under the precondition the result always has m >= 1.  At i=1 the edges
+    through x are a candidate (m=0) only when deg(x) >= |W|, W the other
+    edges meeting L_1, and the larger m is tried first.  Each of the
+    (r-1)deg(x) vertices of L_1 has at least delta-1 edges in W and an edge
+    holds at most r of them, so m=0 needs (r-1)(delta-1) <= r, that is
+    delta <= 2 and d = 1; then W has average degree at least 1 > d/4 and
+    wins as m=1.
     """
     delta = g.min_degree()
     if not (1 <= d <= delta / 2):
@@ -126,9 +130,9 @@ def anchored_subgraph(
     # the draw index, built once per call: the draws pick anchors from v_m only,
     # so an edge's layer-m vertices decide whether it holds exactly one.  own[v]
     # lists the edges whose one layer-m vertex is v; multi keeps the rest (every
-    # edge of h meets layer m), which a draw intersects with its anchors.  For
-    # m > 0 an anchor is admissible only if no other vertex of its parent edge
-    # is drawn, and only the parent-edge vertices in v_m can be drawn.
+    # edge of h meets layer m), which a draw intersects with its anchors.  An
+    # anchor is admissible only if no other vertex of its parent edge is
+    # drawn, and only the parent-edge vertices in v_m can be drawn.
     in_m = set(v_m)
     own: dict[int, list[Edge]] = {v: [] for v in v_m}
     multi: list[Edge] = []
@@ -139,8 +143,7 @@ def anchored_subgraph(
         else:
             multi.append(e)
     del h  # the draws read only the index; free h's incidence maps before them
-    siblings = {v: [u for u in lay.parent_edge[v] if u != v and u in in_m]
-                for v in v_m} if m > 0 else {}
+    siblings = {v: [u for u in lay.parent_edge[v] if u != v and u in in_m] for v in v_m}
     # witness cache, filled as anchors reach V(F): the vertices of each
     # anchor's BFS path other than the anchor, which must stay out of V(F).
     # The paths themselves are rebuilt only for a draw that is kept.
@@ -156,7 +159,7 @@ def anchored_subgraph(
         if not (any(own[v] for v in xs) or any(len(xs.intersection(e)) == 1 for e in multi)):
             continue
         ys = {v for v in xs if rng.random() < py}
-        ok_ys = {v for v in ys if ys.isdisjoint(siblings[v])} if m > 0 else ys
+        ok_ys = {v for v in ys if ys.isdisjoint(siblings[v])}
         nice = [e for v in ok_ys for e in own[v]]
         for e in multi:
             inx = xs.intersection(e)
@@ -165,7 +168,7 @@ def anchored_subgraph(
         kept, low = min_degree_core(nice, g.r, _average_degree(nice, g.r))
         anchors = frozenset(ys)
         # witness paths may carry passengers into V(F); one repair pass drops
-        # every edge touching such a passenger, after which no hit can remain
+        # every edge touching such a passenger, after which none is left (P3)
         fv = {v for e in kept for v in e}
         for v in (fv & anchors) - passengers.keys():
             passengers[v] = tuple(lay.path_to(v).vertex_set() - {v})
@@ -176,15 +179,14 @@ def anchored_subgraph(
             fv = {v for e in kept for v in e}
         if not kept or low < threshold:
             continue
-        hit = sorted(fv & anchors)
-        if not hit or any(not fv.isdisjoint(passengers[v]) for v in hit):
-            continue
         # only a draw that is kept or returned becomes a graph, and is checked
-        # for P1 and P2; best_low stays below good_enough, so a draw that
-        # reaches it is always kept
+        # for P1-P3; best_low stays below good_enough, so a draw that reaches
+        # it is always kept
         if low > best_low:
-            if not _anchored_ok(kept, anchors, lay, m):
-                raise InvariantViolation("an anchored draw breaks P1 or P2")
+            hit = sorted(fv & anchors)
+            if not (_anchored_ok(kept, anchors, lay, m)
+                    and all(fv.isdisjoint(passengers[v]) for v in hit)):
+                raise InvariantViolation("an anchored draw breaks P1, P2 or P3")
             best, best_low = AnchoredSubgraph(
                 m, anchors, g.edge_induced(kept), {v: lay.path_to(v) for v in hit}, lay), low
             if low >= good_enough:

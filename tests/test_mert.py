@@ -4,19 +4,27 @@ expansion, and anchor/label bundles."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lincyc import (
+    Mert,
     PreconditionFailed,
     RPartition,
     SingletonS,
     anchor_and_label,
     build,
     build_mert,
+    cycles_from_boundary,
+    cycles_from_internal,
     expand_tree_path,
     greedy_partial_steiner,
     r_partite_reduction,
 )
+from lincyc.core import _pair
+from lincyc.engine import _boundary_edges, _internal_edges
 from lincyc.errors import SingletonS as SingletonSErr
+from lincyc.reductions import rotate_to_root
 
 
 def sunflower():
@@ -116,6 +124,199 @@ def test_invariants_and_determinism_on_random_inputs(seed):
     pm = rotated.index_map()
     for i, lvl in enumerate(m1.levels):
         assert len({pm[v] for v in lvl}) <= 1
+
+
+# -- D- and F-edges filed by level ---------------------------------------------------
+
+
+def filed_case():
+    """Star (0,1,2), (0,3,4) at the root; (1,6,7) and (3,6,9) attach at level
+    1 but share 6, so the matching keeps (1,6,7) only; (1,4,5) holds two
+    segment-1 vertices; (2,8,9) attaches at 2, outside the chosen class."""
+    g = build(10, 3, [(0, 1, 2), (0, 3, 4), (1, 4, 5), (1, 6, 7), (2, 8, 9), (3, 6, 9)])
+    part = RPartition((frozenset({0, 5, 7, 9}), frozenset({1, 3, 8}), frozenset({2, 4, 6})))
+    return g, part
+
+
+def test_filed_edges_trace():
+    g, part = filed_case()
+    m = build_mert(g, part, 0)
+    assert m.levels == (frozenset({0}), frozenset({1, 3}), frozenset({7}))
+    assert m.segments == ((), (0, 1), (3,))
+    # level 1: the star joins L_0 to the rest of segment 1; (1,4,5) avoids
+    # the root and meets segment 1 at 1 and 4
+    assert m.d_edges[1] == ((0, 1, 2), (0, 3, 4))
+    assert m.f_edges[1] == ((1, 4, 5),)
+    # level 2: (3,6,9) lost the matching yet joins L_1 to segment 2 at 6;
+    # (2,8,9) meets the tree only at 2, which is not a level vertex
+    assert m.d_edges[2] == ((1, 6, 7), (3, 6, 9))
+    assert m.f_edges[2] == ()
+    assert m.d_edges[0] == m.f_edges[0] == ()
+    assert _boundary_edges(g, m, 2, 1) == (m.d_edges[2], 8 * 3 * 2 * 3)
+    assert _internal_edges(g, m, 1, 1) == (m.f_edges[1], 8 * 3**5 * 2)
+
+
+def test_filters_reject_a_foreign_graph():
+    g, part = filed_case()
+    m = build_mert(g, part, 0)
+    other = g.edge_induced(g.edges[:4])
+    for construct in (cycles_from_boundary, cycles_from_internal):
+        with pytest.raises(PreconditionFailed, match="another graph"):
+            construct(other, part, m, 1, 1, best_effort=True)
+    with pytest.raises(PreconditionFailed, match="outside"):
+        _boundary_edges(g, m, m.height + 1, 1)
+
+
+# The reference below is build_mert as it stood when every level rescanned all
+# edges against set-algebra vertex sets, and the D/F filters as they read then.
+
+
+def naive_build_mert(g, partition, x):
+    pm = partition.index_map()
+    r = g.r
+    star = sorted(g.incident.get(x, ()))
+    segments = [tuple(), tuple(star)]
+    seg_vsets = [frozenset({x})]
+    seg_vsets.append(frozenset(v for eid in star for v in g.edges[eid]) | {x})
+    levels = [frozenset({x})]
+    part_of_level = [0]
+    parent, tree_edge, chi, matchings = {}, {}, {}, {}
+    pending = {}
+    for eid in star:
+        for v in g.edges[eid]:
+            if v != x and v not in pending:
+                pending[v] = (x, g.edges[eid])
+    cum = seg_vsets[0] | seg_vsets[1]
+    i = 1
+    while True:
+        fresh = seg_vsets[i] - seg_vsets[i - 1]
+        attach = []
+        for eid, e in enumerate(g.edges):
+            hit = [v for v in e if v in cum]
+            if len(hit) == 1 and hit[0] in fresh:
+                attach.append((eid, hit[0]))
+        if not attach:
+            ell = part_of_level[i - 1]
+            cand = frozenset(v for v in fresh if pm[v] == 1)
+            part = 1
+            if not cand:
+                by_part = sorted({pm[v] for v in fresh if pm[v] != ell})
+                if by_part:
+                    part = by_part[0]
+                    cand = frozenset(v for v in fresh if pm[v] == part)
+            levels.append(cand)
+            part_of_level.append(part)
+            for v in sorted(cand):
+                p, disc = pending[v]
+                parent[v] = p
+                tree_edge[v] = disc
+                chi[_pair(p, v)] = frozenset(disc) - {p, v}
+            height = i
+            break
+        ell = part_of_level[i - 1]
+        groups = {}
+        for eid, v in attach:
+            groups.setdefault(pm[v], []).append((eid, v))
+        groups.pop(ell, None)
+        if not groups:
+            levels.append(frozenset())
+            part_of_level.append((ell + 1) % r)
+            height = i
+            break
+        s = max(sorted(groups), key=lambda j: (len(groups[j]), -j))
+        chosen = sorted(groups[s])
+        level = frozenset(v for _, v in chosen)
+        levels.append(level)
+        part_of_level.append(s)
+        for v in sorted(level):
+            p, disc = pending[v]
+            parent[v] = p
+            tree_edge[v] = disc
+            chi[_pair(p, v)] = frozenset(disc) - {p, v}
+        used, m_list, next_ids, new_pending = set(), [], [], {}
+        for eid, v in chosen:
+            residue = tuple(sorted(u for u in g.edges[eid] if u != v))
+            if any(u in used for u in residue):
+                continue
+            used.update(residue)
+            m_list.append(residue)
+            next_ids.append(eid)
+            for u in residue:
+                new_pending[u] = (v, g.edges[eid])
+        matchings[i] = tuple(m_list)
+        segments.append(tuple(next_ids))
+        vset = frozenset(v for eid in next_ids for v in g.edges[eid])
+        seg_vsets.append(vset)
+        cum = cum | vset
+        pending = new_pending
+        i += 1
+    return Mert(x, height, g, partition, tuple(segments[: height + 1]), tuple(levels),
+                matchings, parent, tree_edge, chi, tuple(part_of_level), (), ())
+
+
+def naive_segment_vertices(m, i):
+    if i == 0:
+        return frozenset({m.root})
+    return frozenset(v for eid in m.segments[i] for v in m.graph.edges[eid])
+
+
+def naive_cumulative_vertices(m, i):
+    out = set()
+    for j in range(min(i, m.height) + 1):
+        out |= naive_segment_vertices(m, j)
+    return frozenset(out)
+
+
+def naive_d_edges(m, t):
+    lt1 = m.levels[t - 1]
+    inner = naive_segment_vertices(m, t) - lt1
+    early = naive_cumulative_vertices(m, t - 1) - lt1
+    return tuple(e for e in m.graph.edges
+                 if lt1.intersection(e) and inner.intersection(e)
+                 and not early.intersection(e))
+
+
+def naive_f_edges(m, t):
+    vht = naive_segment_vertices(m, t)
+    early = naive_cumulative_vertices(m, t - 1)
+    return tuple(e for e in m.graph.edges
+                 if not early.intersection(e) and len(vht.intersection(e)) >= 2)
+
+
+@st.composite
+def rooted_partite_cases(draw):
+    """The partite part of a thinned greedy packing, with its partition
+    rotated to the root: a drawn vertex or one of lowest degree, so rarely
+    the max-degree root the pipeline takes."""
+    r = draw(st.sampled_from([3, 4, 5]))
+    n = draw(st.integers(min_value=3 * r, max_value=80))
+    base = greedy_partial_steiner(n, r, seed=draw(st.integers(0, 10**6)), effort=2.0)
+    coins = draw(st.lists(st.integers(0, 3), min_size=base.num_edges(),
+                          max_size=base.num_edges()))
+    thinned = build(n, r, [e for e, c in zip(base.edges, coins) if c])
+    sub, part = r_partite_reduction(thinned, seed=draw(st.integers(0, 10**6)))
+    if not sub.edges:
+        sub, part = r_partite_reduction(base, seed=0)
+    touched = sorted({v for e in sub.edges for v in e})
+    if draw(st.booleans()):
+        root = draw(st.sampled_from(touched))
+    else:
+        root = min(touched, key=lambda v: (sub.degree(v), v))
+    return sub, rotate_to_root(sub, part, root), root
+
+
+@settings(max_examples=120, deadline=None)
+@given(rooted_partite_cases())
+def test_build_mert_matches_the_rescanning_reference(case):
+    g, part, root = case
+    m = build_mert(g, part, root)
+    ref = naive_build_mert(g, part, root)
+    assert m.to_json() == ref.to_json()
+    assert len(m.d_edges) == len(m.f_edges) == m.height + 1
+    assert m.d_edges[0] == m.f_edges[0] == ()
+    for t in range(1, m.height + 1):
+        assert m.d_edges[t] == naive_d_edges(ref, t)
+        assert m.f_edges[t] == naive_f_edges(ref, t)
 
 
 # -- tree path expansion --------------------------------------------------------------
