@@ -65,7 +65,6 @@ from .pathfinder import (
 )
 from .reductions import (
     bfs_layers,
-    boundary_lower_bound_check,
     d_minimal,
     degenerate_ordering,
     min_degree_subgraph,

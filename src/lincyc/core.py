@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Literal, Optional, Sequence
 
@@ -21,11 +22,16 @@ from .errors import (
     MalformedInput,
     NonUniformEdge,
     NotPartite,
+    TooLarge,
     VertexOutOfRange,
 )
 
 Edge = tuple[int, ...]
 Pair = tuple[int, int]
+
+# The parsers refuse a declared vertex count above this before building the
+# vertex set: frozenset(range(n)) costs about 66 bytes a vertex, 66 MB here.
+MAX_PARSED_VERTICES = 10**6
 
 
 def _pair(u: int, v: int) -> Pair:
@@ -155,6 +161,7 @@ class LinearHypergraph:
         r, n, m = head
         if n < 0:
             raise MalformedInput(f"vertex count n must be non-negative, got {n}", head_no)
+        _check_parsed_size(n)
         if len(body) != m:
             raise MalformedInput(f"header declares {m} edges, {len(body)} edge lines follow", head_no)
         return cls(n, r, [tuple(e) for _, e in body])
@@ -171,6 +178,7 @@ class LinearHypergraph:
                 raise MalformedInput(f"graph JSON key {key!r} is missing or ill-typed")
         if obj["n"] < 0:
             raise MalformedInput(f"graph JSON key 'n' must be non-negative, got {obj['n']}")
+        _check_parsed_size(obj["n"])
         return cls(obj["n"], obj["r"], [tuple(e) for e in obj["edges"]])
 
     def to_json(self) -> str:
@@ -179,6 +187,11 @@ class LinearHypergraph:
     @classmethod
     def from_json(cls, text: str) -> "LinearHypergraph":
         return cls.from_json_obj(json.loads(text))
+
+
+def _check_parsed_size(n: int) -> None:
+    if n > MAX_PARSED_VERTICES:
+        raise TooLarge(f"vertex count n = {n} exceeds the cap {MAX_PARSED_VERTICES}")
 
 
 def _ints(tokens: list[str], line: int) -> list[int]:
@@ -223,8 +236,14 @@ class RPartition:
     def r(self) -> int:
         return len(self.parts)
 
-    def index_map(self) -> dict[int, int]:
+    @cached_property
+    def _index(self) -> dict[int, int]:
         return {v: i for i, part in enumerate(self.parts) for v in part}
+
+    def index_map(self) -> dict[int, int]:
+        """Vertex -> class index, built once per partition and shared by
+        every caller, so read it and never mutate it."""
+        return self._index
 
     def check(self, g: LinearHypergraph) -> None:
         idx = self.index_map()
@@ -254,13 +273,10 @@ class ColoredGraph:
             adj[v].append(u)
         return adj
 
-    def degree_map(self) -> dict[int, int]:
-        return {v: len(ns) for v, ns in self.adjacency().items()}
-
     def min_degree(self) -> int:
         if not self.vertices:
             return 0
-        return min(self.degree_map().values())
+        return min(map(len, self.adjacency().values()))
 
     def average_degree(self) -> float:
         if not self.vertices:

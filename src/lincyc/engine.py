@@ -234,7 +234,7 @@ def _expand_projection(colored: ColoredGraph, verts: Sequence[int]) -> list:
     return [colored.source[_pair(u, v)] for u, v in zip(verts, verts[1:])]
 
 
-def _paste_internal(g, mert, bundle, colored, sub, owner, vof) -> LinearCycle:
+def _paste_internal(mert, bundle, colored, sub, owner, vof) -> LinearCycle:
     """Close a projection path through the tree and the two hooking edges."""
     u, w = sub[0], sub[-1]
     vu, vw = vof[u], vof[w]
@@ -245,50 +245,47 @@ def _paste_internal(g, mert, bundle, colored, sub, owner, vof) -> LinearCycle:
     q_edges = list(expand_tree_path(mert, q).edges)
     p_edges = _expand_projection(colored, sub)
     seq = q_edges + [owner[w]] + list(reversed(p_edges)) + [owner[u]]
-    return verify_cycle(g, seq)
+    return verify_cycle(mert.graph, seq)
 
 
 # -- layer filters, shared by the layer scan and both constructions -------------
 
 
-def _filed_level(g: LinearHypergraph, mert: Mert, t: int) -> None:
-    if g is not mert.graph:
-        raise PreconditionFailed("the tree was built on another graph")
+def _filed_level(mert: Mert, t: int) -> None:
     if not (1 <= t <= mert.height):
         raise PreconditionFailed(f"t={t} outside 1..{mert.height}")
 
 
-def _boundary_edges(g: LinearHypergraph, mert: Mert, t: int, k: int) -> tuple[tuple, int]:
+def _boundary_edges(mert: Mert, t: int, k: int) -> tuple[tuple, int]:
     """The D-edges at level t, which meet L_{t-1} and the rest of segment t
     and avoid the earlier segments, and the count 8k r(r-1)(|L_{t-1}|+|L_t|)
     the boundary construction needs."""
-    _filed_level(g, mert, t)
+    _filed_level(mert, t)
+    r = mert.graph.r
     size = len(mert.levels[t - 1]) + len(mert.levels[t])
-    return mert.d_edges[t], 8 * k * g.r * (g.r - 1) * size
+    return mert.d_edges[t], 8 * k * r * (r - 1) * size
 
 
-def _internal_edges(g: LinearHypergraph, mert: Mert, t: int, k: int) -> tuple[tuple, int]:
+def _internal_edges(mert: Mert, t: int, k: int) -> tuple[tuple, int]:
     """The F-edges at level t, which avoid the earlier segments and meet
     segment t at least twice, and the count 8k r^(r+2)|L_t| the internal
     construction needs."""
-    _filed_level(g, mert, t)
-    return mert.f_edges[t], 8 * k * g.r ** (g.r + 2) * len(mert.levels[t])
+    _filed_level(mert, t)
+    r = mert.graph.r
+    return mert.f_edges[t], 8 * k * r ** (r + 2) * len(mert.levels[t])
 
 
 # -- boundary construction (even lengths) --------------------------------------
 
 
 def cycles_from_boundary(
-    g: LinearHypergraph,
-    partition: RPartition,
-    mert: Mert,
-    t: int,
-    k: int,
-    best_effort: bool = False,
+    mert: Mert, t: int, k: int, best_effort: bool = False
 ) -> tuple[CycleFamily, dict]:
     """k cycles of consecutive even lengths 2m+2..2m+2k (m <= t-1) from the
-    edges crossing between level t-1 and the rest of segment t."""
-    d_edges, threshold = _boundary_edges(g, mert, t, k)
+    edges crossing between level t-1 and the rest of segment t of the tree's
+    graph."""
+    g, partition = mert.graph, mert.partition
+    d_edges, threshold = _boundary_edges(mert, t, k)
     info = {"t": t, "e_D": len(d_edges), "threshold": threshold}
     if not d_edges or (len(d_edges) < threshold and not best_effort):
         raise NotEnoughDensity(len(d_edges), threshold, "boundary D-subgraph")
@@ -346,17 +343,13 @@ def _x_side(p, xs) -> int:
 
 
 def cycles_from_internal(
-    g: LinearHypergraph,
-    partition: RPartition,
-    mert: Mert,
-    t: int,
-    k: int,
-    seed: int = 0,
-    best_effort: bool = False,
+    mert: Mert, t: int, k: int, seed: int = 0, best_effort: bool = False
 ) -> tuple[CycleFamily, dict]:
-    """2k cycles of consecutive lengths 2m+1..2m+2k (m <= t) from edges that
-    avoid all earlier segments and meet segment t at least twice."""
-    f_edges, threshold = _internal_edges(g, mert, t, k)
+    """2k cycles of consecutive lengths 2m+1..2m+2k (m <= t) from edges of
+    the tree's graph that avoid all earlier segments and meet segment t at
+    least twice."""
+    g, partition = mert.graph, mert.partition
+    f_edges, threshold = _internal_edges(mert, t, k)
     info = {"t": t, "e_F": len(f_edges), "threshold": threshold}
     if not f_edges or (len(f_edges) < threshold and not best_effort):
         raise NotEnoughDensity(len(f_edges), threshold, "internal F-subgraph")
@@ -406,17 +399,17 @@ def cycles_from_internal(
         path = rainbow_special_path(bstar, mixed, same, 2 * k, best_effort=True)
         for i in range(1, 2 * k + 1):
             cycles.append(
-                _paste_internal(g, mert, bundle, bstar, path[: i + 1], owner, vof)
+                _paste_internal(mert, bundle, bstar, path[: i + 1], owner, vof)
             )
         case = 1
     else:
         path = rainbow_special_path(bstar, same, mixed, 2 * k, best_effort=True)
         for i in range(1, k + 1):
             cycles.append(
-                _paste_internal(g, mert, bundle, bstar, path[1 : 2 * i + 1], owner, vof)
+                _paste_internal(mert, bundle, bstar, path[1 : 2 * i + 1], owner, vof)
             )
             cycles.append(
-                _paste_internal(g, mert, bundle, bstar, path[: 2 * i + 1], owner, vof)
+                _paste_internal(mert, bundle, bstar, path[: 2 * i + 1], owner, vof)
             )
         case = 2
     fam = CycleFamily(cycles, "ALL", bound=2 * t + 1)
@@ -451,8 +444,7 @@ def even_consecutive_cycles(
         trace.append({"stage": "d-minimal", "edges": gd.num_edges(),
                       "avg_degree": gd.average_degree()})
         root = max_degree_root(gd)
-        partition = rotate_to_root(gd, partition, root)
-        mert = build_mert(gd, partition, root)
+        mert = build_mert(gd, rotate_to_root(gd, partition, root), root)
     except LincycError as err:
         return failure("setup", str(err))
     ledger = [len(lvl) for lvl in mert.levels]
@@ -461,17 +453,12 @@ def even_consecutive_cycles(
     trace.append({"stage": "mert", "height": mert.height, "levels": ledger,
                   "growth_factor": growth, "layer_cap": cap})
 
-    candidates = _layer_candidates(gd, mert, k, strict)
-    for ratio, kind, t in candidates:
+    for ratio, kind, t in _layer_candidates(mert, k, strict):
         try:
             if kind == "boundary":
-                fam, info = cycles_from_boundary(
-                    gd, partition, mert, t, k, best_effort=not strict
-                )
+                fam, info = cycles_from_boundary(mert, t, k, best_effort=not strict)
             else:
-                fam, info = cycles_from_internal(
-                    gd, partition, mert, t, k, seed, best_effort=not strict
-                )
+                fam, info = cycles_from_internal(mert, t, k, seed, best_effort=not strict)
                 fam = _even_subfamily(fam, k)
         except LincycError as err:
             trace.append({"stage": kind, "t": t, "status": "failed", "reason": str(err)})
@@ -499,11 +486,11 @@ def _even_subfamily(fam: CycleFamily, k: int) -> CycleFamily:
     return out
 
 
-def _layer_candidates(g, mert: Mert, k: int, strict: bool):
+def _layer_candidates(mert: Mert, k: int, strict: bool):
     out = []
     for t in range(1, mert.height + 1):
         for kind, select in (("boundary", _boundary_edges), ("internal", _internal_edges)):
-            edges, threshold = select(g, mert, t, k)
+            edges, threshold = select(mert, t, k)
             if edges:
                 out.append((len(edges) / max(threshold, 1), kind, t))
     if strict:

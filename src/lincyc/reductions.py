@@ -29,7 +29,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .core import Edge, LinearHypergraph, LinearPath, Pair, RPartition, _pair
 from .errors import EmptyCore, InvariantViolation, PreconditionFailed, RetriesExhausted
@@ -233,16 +233,6 @@ def d_minimal(g: LinearHypergraph, d: float) -> LinearHypergraph:
     return out
 
 
-def boundary_lower_bound_check(g: LinearHypergraph, subset: Iterable[int], d: float) -> bool:
-    """Test oracle for d-minimality: edges touching a proper vertex subset S
-    must number at least d|S|/r."""
-    s = frozenset(subset)
-    if not s < g.vertices:
-        raise PreconditionFailed("S must be a proper subset of the vertex set")
-    touching = sum(1 for e in g.edges if s.intersection(e))
-    return touching >= d * len(s) / g.r
-
-
 # -- r-partite reduction (Erdős–Kleitman) -------------------------------------
 
 RESTARTS = 64
@@ -255,18 +245,15 @@ def _transversals(g: LinearHypergraph, part_of: dict[int, int]) -> list[tuple[in
 
 
 def r_partite_reduction(
-    g: LinearHypergraph,
-    seed: int = 0,
-    partition_hint: Optional[RPartition] = None,
+    g: LinearHypergraph, seed: int = 0
 ) -> tuple[LinearHypergraph, RPartition]:
     """Random balanced r-partition plus single-vertex hill climbing until the
     partite subgraph keeps at least (r!/r^r) e(G) edges.
 
-    A hint that covers V(g) and already meets the target is used as it is.
-    Otherwise each of up to RESTARTS attempts shuffles a balanced labelling
-    and sweeps the vertices in id order until a sweep moves none.  A sweep
-    moves v to the first class that gains the most transversal edges at v,
-    if any class gains at least one.
+    Each of up to RESTARTS attempts shuffles a balanced labelling and sweeps
+    the vertices in id order until a sweep moves none.  A sweep moves v to
+    the first class that gains the most transversal edges at v, if any class
+    gains at least one.
 
     Moving v changes only v's edges, and an edge at v is a transversal with v
     in class p exactly when its other r - 1 vertices sit in distinct classes
@@ -282,11 +269,6 @@ def r_partite_reduction(
     target = math.factorial(r) / r**r * len(g.edges)
     verts = sorted(g.vertices)
     rng = random.Random(seed)
-
-    if partition_hint is not None:
-        part_of = partition_hint.index_map()
-        if all(v in part_of for v in verts) and len(_transversals(g, part_of)) >= target:
-            return _finish_partition(g, part_of)
 
     # the other r - 1 vertices of each edge at v
     others: dict[int, list[tuple[int, ...]]] = {v: [] for v in verts}
@@ -332,16 +314,9 @@ def r_partite_reduction(
                     for rest in others[v]:
                         dirty.update(rest)
         if count >= target:
-            return _finish_partition(g, part_of)
+            parts = tuple(frozenset(v for v, p in part_of.items() if p == i) for i in range(r))
+            return g.edge_induced(_transversals(g, part_of)), RPartition(parts)
     raise RetriesExhausted("r-partite reduction below the r!/r^r guarantee", RESTARTS)
-
-
-def _finish_partition(g: LinearHypergraph, part_of: dict[int, int]):
-    kept = _transversals(g, part_of)
-    parts = tuple(
-        frozenset(v for v, p in part_of.items() if p == i) for i in range(g.r)
-    )
-    return g.edge_induced(kept), RPartition(parts)
 
 
 def max_degree_root(g: LinearHypergraph) -> int:

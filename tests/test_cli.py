@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lincyc import LinearHypergraph, cli, enumerate_cycles
+from lincyc.core import MAX_PARSED_VERTICES
 from conftest import FANO_LINES
 
 
@@ -222,6 +223,14 @@ def test_malformed_graph_exits_one(tmp_path, capsys):
     code, _, err = run(["find", "--input", str(graph), "--k", "2"], capsys)
     assert code == 1 and err.startswith("error: line 1:")
     assert "Traceback" not in err
+
+
+def test_oversized_vertex_count_exits_one(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text(f"3 {MAX_PARSED_VERTICES + 1} 0\n")
+    code, _, err = run(["find", "--input", str(graph), "--k", "2"], capsys)
+    assert code == 1 and err.startswith("error: vertex count")
+    assert err.count("\n") == 1
 
 
 def test_usage_error_exits_one(tmp_path, capsys):

@@ -20,6 +20,7 @@ from lincyc import (
     NonUniformEdge,
     NotPartite,
     RPartition,
+    TooLarge,
     VertexOutOfRange,
     build,
     greedy_partial_steiner,
@@ -28,6 +29,7 @@ from lincyc import (
     verify_cycle,
     verify_path,
 )
+from lincyc.core import MAX_PARSED_VERTICES
 from conftest import FANO_LINES, planted_c4
 
 
@@ -395,6 +397,14 @@ def test_from_json_rejects_missing_or_ill_typed_keys(text):
         LinearHypergraph.from_json(text)
 
 
+def test_parsers_refuse_a_vertex_count_past_the_cap():
+    n = MAX_PARSED_VERTICES + 1
+    with pytest.raises(TooLarge, match="exceeds the cap"):
+        LinearHypergraph.from_text(f"3 {n} 0\n")
+    with pytest.raises(TooLarge, match="exceeds the cap"):
+        LinearHypergraph.from_json_obj({"r": 3, "n": n, "edges": []})
+
+
 # tokens of at most three characters keep every parsed n small
 tokens = st.one_of(
     st.sampled_from(["0", "1", "2", "3", "4", "7", "-1", "x", "2.5", "1_0"]),
@@ -412,8 +422,9 @@ def test_from_text_returns_a_graph_or_a_lincyc_error(text):
     assert LinearHypergraph.from_text(g.to_text()) == g
 
 
-# Integers stay below 10,001: the vertex set is built as frozenset(range(n)), so a
-# huge n costs memory rather than raising, which is a separate open item.
+# Integers stay below 10,001 to keep each parsed graph small: the vertex set is
+# built as frozenset(range(n)) for any n up to MAX_PARSED_VERTICES, above which
+# the parsers raise TooLarge.
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-10, 10_000) | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),

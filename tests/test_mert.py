@@ -152,19 +152,22 @@ def test_filed_edges_trace():
     assert m.d_edges[2] == ((1, 6, 7), (3, 6, 9))
     assert m.f_edges[2] == ()
     assert m.d_edges[0] == m.f_edges[0] == ()
-    assert _boundary_edges(g, m, 2, 1) == (m.d_edges[2], 8 * 3 * 2 * 3)
-    assert _internal_edges(g, m, 1, 1) == (m.f_edges[1], 8 * 3**5 * 2)
+    assert _boundary_edges(m, 2, 1) == (m.d_edges[2], 8 * 3 * 2 * 3)
+    assert _internal_edges(m, 1, 1) == (m.f_edges[1], 8 * 3**5 * 2)
 
 
-def test_filters_reject_a_foreign_graph():
+def test_constructions_reject_a_level_past_the_tree():
     g, part = filed_case()
     m = build_mert(g, part, 0)
-    other = g.edge_induced(g.edges[:4])
     for construct in (cycles_from_boundary, cycles_from_internal):
-        with pytest.raises(PreconditionFailed, match="another graph"):
-            construct(other, part, m, 1, 1, best_effort=True)
-    with pytest.raises(PreconditionFailed, match="outside"):
-        _boundary_edges(g, m, m.height + 1, 1)
+        with pytest.raises(PreconditionFailed, match="outside"):
+            construct(m, m.height + 1, 1, best_effort=True)
+
+
+def test_partition_indexes_its_classes_once():
+    _, part = filed_case()
+    assert part.index_map() is part.index_map()
+    assert part.index_map() == {v: i for i, p in enumerate(part.parts) for v in p}
 
 
 # The reference below is build_mert as it stood when every level rescanned all

@@ -19,7 +19,6 @@ from lincyc import (
     RetriesExhausted,
     RPartition,
     bfs_layers,
-    boundary_lower_bound_check,
     build,
     d_minimal,
     degenerate_ordering,
@@ -202,6 +201,16 @@ def test_first_order_minimality_property(n, seed):
 # -- boundary_lower_bound_check ---------------------------------------------------
 
 
+def boundary_lower_bound_check(g, subset, d):
+    """Test oracle for d-minimality: edges touching a proper vertex subset S
+    must number at least d|S|/r."""
+    s = frozenset(subset)
+    if not s < g.vertices:
+        raise PreconditionFailed("S must be a proper subset of the vertex set")
+    touching = sum(1 for e in g.edges if s.intersection(e))
+    return touching >= d * len(s) / g.r
+
+
 def test_boundary_single_point(fano):
     assert boundary_lower_bound_check(fano, {0}, 3.0)
 
@@ -239,16 +248,6 @@ def test_partite_reduction_fano(fano):
     sub, part = r_partite_reduction(fano, seed=0)
     assert sub.num_edges() >= math.factorial(3) / 27 * 7
     part.check(sub)
-
-
-def test_partite_reduction_uses_hint():
-    edges = [(0, 1, 4), (1, 2, 5), (2, 3, 6), (0, 3, 7)]
-    g = build(8, 3, edges)
-    hint = RPartition(
-        (frozenset({0, 2}), frozenset({1, 3}), frozenset({4, 5, 6, 7}))
-    )
-    sub, _ = r_partite_reduction(g, seed=0, partition_hint=hint)
-    assert sub.num_edges() == 4
 
 
 def test_partite_reduction_random_triples():
@@ -409,7 +408,7 @@ def test_degenerate_ordering_matches_naive_rescan(pairs, d):
 # other class, move the vertex there and recount the transversal edges at it.
 
 
-def naive_partite(g, seed=0, partition_hint=None, restarts=64):
+def naive_partite(g, seed=0, restarts=64):
     r = g.r
 
     def count_at(eids, part_of):
@@ -424,11 +423,6 @@ def naive_partite(g, seed=0, partition_hint=None, restarts=64):
     target = math.factorial(r) / r**r * len(g.edges)
     verts = sorted(g.vertices)
     rng = random.Random(seed)
-    if partition_hint is not None:
-        part_of = partition_hint.index_map()
-        if all(v in part_of for v in verts):
-            if count_at(range(len(g.edges)), part_of) >= target:
-                return finish(part_of)
     for _ in range(restarts):
         labels = [i % r for i in range(len(verts))]
         rng.shuffle(labels)
@@ -461,28 +455,22 @@ def naive_partite(g, seed=0, partition_hint=None, restarts=64):
 @st.composite
 def partite_cases(draw):
     """A thinned greedy packing at r in {3, 4, 5} with up to three isolated
-    vertices, a call seed, and a hint that leaves a class empty, so it keeps
-    no edge and falls through to the climb."""
+    vertices, and a call seed."""
     r = draw(st.sampled_from([3, 4, 5]))
     n = draw(st.integers(min_value=r, max_value=24))
     base = greedy_partial_steiner(n, r, seed=draw(st.integers(0, 10**6)), effort=2.0)
     keep = draw(st.lists(st.booleans(), min_size=base.num_edges(), max_size=base.num_edges()))
     g = build(n + draw(st.integers(min_value=0, max_value=3)), r,
               [e for e, k in zip(base.edges, keep) if k])
-    hint = None
-    if draw(st.booleans()):
-        labels = draw(st.lists(st.integers(0, r - 2), min_size=g.n, max_size=g.n))
-        hint = RPartition(tuple(
-            frozenset(v for v in range(g.n) if labels[v] == i) for i in range(r)))
-    return g, draw(st.integers(0, 10**6)), hint
+    return g, draw(st.integers(0, 10**6))
 
 
 @settings(max_examples=300, deadline=None)
 @given(partite_cases())
 def test_partite_reduction_matches_naive_climb(case):
-    g, seed, hint = case
-    got = outcome(r_partite_reduction, g, seed, hint)
-    want = outcome(naive_partite, g, seed, hint)
+    g, seed = case
+    got = outcome(r_partite_reduction, g, seed)
+    want = outcome(naive_partite, g, seed)
     if isinstance(want, tuple):
         assert got == want
         return
