@@ -3,8 +3,9 @@
 Subcommands: gen (instances), find (cycle families), verify (witness check),
 spectrum (oracle enumeration), sweep (success rate vs density), mert (tree
 inspection).  Exit codes: 0 success, 2 verified failure traces, 1 input
-or usage errors.  A JSON config file can mirror any flag of the subcommand and
-is checked like flags; explicit flags win.
+or usage errors and a `find --mode c2k` search cut off by its budget.  A JSON
+config file can mirror any flag of the subcommand and is checked like flags;
+explicit flags win.
 """
 
 from __future__ import annotations
@@ -143,6 +144,8 @@ def cmd_find(args) -> int:
         try:
             cycle = find_c2k(g, args.k, seed)
         except LincycError as err:
+            if isinstance(err.__cause__, BudgetExceeded):
+                raise  # an incomplete search is an error, not an honest failure
             print(json.dumps({"outcome": "failure", "reason": str(err), "seed": seed}))
             return 2
         print(json.dumps(
@@ -205,7 +208,7 @@ def _sweep_trial(params: tuple) -> tuple[float, bool, Optional[int], Optional[fl
     base = greedy_partial_steiner(n, r, seed=rng.getrandbits(32), effort=1.0)
     p = min(1.0, d * n / max(1, r * base.num_edges()))
     kept = [e for e in base.edges if rng.random() < p]
-    g = LinearHypergraph(n, r, kept)
+    g = base._cut(tuple(kept), frozenset(range(n)))
     if g.num_edges() == 0:
         return d, False, None, None
     runner = consecutive_cycles if mode == "all" else even_consecutive_cycles

@@ -2,9 +2,13 @@
 
 Vertices are dense integer ids 0..n-1.  Edges are stored as sorted tuples,
 deduplicated and ordered lexicographically, so the same edge set always
-produces the same object.  Only the constructor validates (uniformity, range,
-linearity); `induced` and `edge_induced` cut subgraphs, linear too, from a
-validated parent.  All objects are immutable after construction.
+produces the same object.  Graphs from outside the package are validated
+(uniformity, range, linearity): the constructor, `build`, `from_text` and
+`from_json`/`from_json_obj` all go through it, and so does `plant_cycles`.
+Everything else is assembled by `_assembled`, which only builds the indexes:
+`induced` and `edge_induced` cut subgraphs, linear too, from a validated
+parent, and the packing and sparsifying generators assemble their output from
+their own invariants.  All objects are immutable after construction.
 """
 
 from __future__ import annotations
@@ -122,10 +126,7 @@ class LinearHypergraph:
 
     def _cut(self, edges: tuple[Edge, ...], vertices: frozenset[int]) -> "LinearHypergraph":
         """The subgraph on sorted edges of self and a vertex set covering them."""
-        sub = LinearHypergraph.__new__(LinearHypergraph)
-        sub.n, sub.r, sub.edges, sub.vertices = self.n, self.r, edges, vertices
-        sub._index()
-        return sub
+        return _assembled(self.n, self.r, edges, vertices)
 
     # -- equality / hashing -------------------------------------------------
 
@@ -187,6 +188,17 @@ class LinearHypergraph:
     @classmethod
     def from_json(cls, text: str) -> "LinearHypergraph":
         return cls.from_json_obj(json.loads(text))
+
+
+def _assembled(n: int, r: int, edges: tuple[Edge, ...],
+               vertices: frozenset[int]) -> LinearHypergraph:
+    """The graph on edges that the caller guarantees are sorted r-tuples in
+    sorted order, distinct, pairwise linear and inside ``vertices``, a subset
+    of range(n).  Nothing is checked; only the indexes are built."""
+    g = LinearHypergraph.__new__(LinearHypergraph)
+    g.n, g.r, g.edges, g.vertices = n, r, edges, vertices
+    g._index()
+    return g
 
 
 def _check_parsed_size(n: int) -> None:

@@ -582,9 +582,17 @@ def consecutive_cycles(
 # -- exact even length ----------------------------------------------------------
 
 
+# DFS node expansions the oracle fallback of find_c2k may spend
+C2K_BUDGET = 5 * 10**7
+
+
 def find_c2k(g: LinearHypergraph, k: int, seed: int = 0) -> LinearCycle:
     """A linear cycle of length exactly 2k: via the even pipeline when its
-    interval covers 2k, else by bounded oracle search."""
+    interval covers 2k, else by oracle search within C2K_BUDGET expansions.
+
+    NotFound means no such cycle exists, unless the search ran out of budget:
+    then the NotFound says the search is incomplete and chains the
+    BudgetExceeded as its cause."""
     if k < 2:
         raise PreconditionFailed("need k >= 2 for a cycle of length 2k")
     report = even_consecutive_cycles(g, k, seed)
@@ -593,11 +601,17 @@ def find_c2k(g: LinearHypergraph, k: int, seed: int = 0) -> LinearCycle:
             if c.length == 2 * k:
                 return c
     witnesses: list[LinearCycle] = []
+    stopped = None
     try:
-        enumerate_cycles(g, 2 * k, budget=5 * 10**7, witnesses=witnesses)
-    except BudgetExceeded:
-        pass
+        enumerate_cycles(g, 2 * k, budget=C2K_BUDGET, witnesses=witnesses)
+    except BudgetExceeded as err:
+        stopped = err
     for c in witnesses:
         if c.length == 2 * k:
             return verify_cycle(g, c.edges)
+    if stopped is not None:
+        raise NotFound(
+            f"search for a linear cycle of length {2 * k} stopped at its budget of "
+            f"{C2K_BUDGET} expansions; the search is incomplete"
+        ) from stopped
     raise NotFound(f"no linear cycle of length {2 * k} found")

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Literal, Optional
 
-from .core import LinearCycle, LinearHypergraph, verify_cycle
-from .errors import Infeasible, PreconditionFailed, RetriesExhausted
+from .core import LinearCycle, LinearHypergraph, _assembled, verify_cycle
+from .errors import Infeasible, NonUniformEdge, PreconditionFailed, RetriesExhausted
 from .oracle import enumerate_cycles
 
 # full maximality sweep only when enumerating every r-set is affordable
@@ -61,6 +61,8 @@ def greedy_partial_steiner(
     """Maximal-at-desk-scale linear r-graph: every pair of vertices lies in at
     most one edge.  ``effort`` scales the rejection-sampling budget in units
     of C(n,2) samples."""
+    if r < 2:
+        raise NonUniformEdge((), r)
     if n < r:
         raise Infeasible(f"n={n} < r={r}")
     # A pair u < v is stored as the key u * n + v.
@@ -127,7 +129,10 @@ def greedy_partial_steiner(
     if math.comb(n, r) <= SWEEP_LIMIT:
         _maximality_sweep(n, r, used_pairs, edges)
 
-    return LinearHypergraph(n, r, edges)
+    # Every edge is a sorted r-tuple of distinct vertices of range(n), and
+    # used_pairs rejected each reused pair, so the edges are distinct and
+    # linear: sorting them is all the constructor would add.
+    return _assembled(n, r, tuple(sorted(edges)), frozenset(range(n)))
 
 
 def _maximality_sweep(
@@ -202,12 +207,14 @@ def high_girth_sparsify(
     except OverflowError:  # a float power past the largest double
         expected_bound = math.inf
     rng = random.Random(seed)
+    # kept stays a subsequence of base.edges, so both graphs are cut from base
+    everyone = frozenset(range(n))
     best: Optional[SparsifyReport] = None
     for attempt in range(1, SPARSIFY_ATTEMPTS + 1):
         kept = [e for e in base.edges if rng.random() < p]
         deleted: list[tuple[int, ...]] = []
         if m >= 3:
-            g = LinearHypergraph(n, r, kept)
+            g = base._cut(tuple(kept), everyone)
             witnesses: list[LinearCycle] = []
             enumerate_cycles(g, m, witnesses=witnesses)
             gone: set[tuple[int, ...]] = set()
@@ -219,7 +226,7 @@ def high_girth_sparsify(
                 deleted.append(victim)
             if gone:
                 kept = [e for e in kept if e not in gone]
-        g = LinearHypergraph(n, r, kept)
+        g = base._cut(tuple(kept), everyone)
         report = SparsifyReport(
             g, attempt, len(kept), deleted, g.average_degree(), expected_bound
         )

@@ -315,7 +315,8 @@ def r_partite_reduction(
                         dirty.update(rest)
         if count >= target:
             parts = tuple(frozenset(v for v, p in part_of.items() if p == i) for i in range(r))
-            return g.edge_induced(_transversals(g, part_of)), RPartition(parts)
+            t = _transversals(g, part_of)
+            return g._cut(tuple(t), frozenset(v for e in t for v in e)), RPartition(parts)
     raise RetriesExhausted("r-partite reduction below the r!/r^r guarantee", RESTARTS)
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lincyc import LinearHypergraph, cli, enumerate_cycles
+from lincyc import LinearHypergraph, cli, engine, enumerate_cycles, greedy_partial_steiner
 from lincyc.core import MAX_PARSED_VERTICES
 from conftest import FANO_LINES
 
@@ -167,6 +167,19 @@ def test_find_exact_length_four(planted_file, capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["outcome"] == "success" and obj["length"] == 4
+
+
+def test_find_exact_length_cut_off_by_its_budget_is_an_error(tmp_path, capsys, monkeypatch):
+    graph = tmp_path / "g.txt"
+    graph.write_text(greedy_partial_steiner(35, 3, seed=0, effort=1.0).to_text())
+    monkeypatch.setattr(engine, "C2K_BUDGET", 10**4)
+    code, out, err = run(
+        ["find", "--input", str(graph), "--k", "4", "--mode", "c2k", "--seed", "0"], capsys
+    )
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: search for a linear cycle of length 8 stopped at its budget")
+    assert "incomplete" in err
 
 
 def test_find_then_verify_round_trip(tmp_path, capsys):

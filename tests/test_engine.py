@@ -17,6 +17,7 @@ from lincyc import (
     RPartition,
     build,
     consecutive_cycles,
+    engine,
     even_consecutive_cycles,
     find_c2k,
     greedy_partial_steiner,
@@ -252,3 +253,15 @@ def test_find_exact_even_length_missing():
         find_c2k(g, 2, seed=0)
     with pytest.raises(PreconditionFailed):
         find_c2k(g, 1, seed=0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_find_exact_even_length_reports_an_incomplete_search(monkeypatch, seed):
+    # every one of these packings holds a C8, but the oracle records no
+    # length-8 witness within a small budget: the NotFound must say the
+    # search stopped, not that no cycle exists
+    g = greedy_partial_steiner(35, 3, seed=seed, effort=1.0)
+    monkeypatch.setattr(engine, "C2K_BUDGET", 10**4)
+    with pytest.raises(NotFound, match="stopped at its budget of 10000 expansions; "
+                                       "the search is incomplete"):
+        find_c2k(g, 4, seed=0)

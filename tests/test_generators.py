@@ -15,7 +15,9 @@ from lincyc import (
     GenSpec,
     Infeasible,
     LinearHypergraph,
+    NonUniformEdge,
     PreconditionFailed,
+    RetriesExhausted,
     enumerate_cycles,
     generate,
     girth,
@@ -24,6 +26,7 @@ from lincyc import (
     plant_cycles,
     verify_cycle,
 )
+from lincyc.generators import SWEEP_LIMIT
 
 
 # -- greedy_partial_steiner ------------------------------------------------------------
@@ -151,6 +154,79 @@ def test_sweep_runs_past_the_recursion_limit(r):
     # The one draw repeats a vertex, so the sweep takes the first r-set,
     # which blocks every other.  The plain scan is too slow to compare here.
     assert greedy_partial_steiner(1000, r, seed=0, effort=1e-6).edges == (tuple(range(r)),)
+
+
+# -- generated graphs are assembled, not validated ------------------------------------
+#
+# greedy_partial_steiner and high_girth_sparsify skip the validating
+# constructor and rely on their own invariants.  Rebuilding their output
+# through the constructor must give the same graph: a reused pair would raise
+# DuplicatePair here, and an unsorted or repeated edge would differ.
+
+
+def assert_same_as_validated(g):
+    rebuilt = LinearHypergraph(g.n, g.r, g.edges)
+    assert g == rebuilt
+    assert g.incident == rebuilt.incident
+    assert g.edge_set == rebuilt.edge_set
+
+
+def last_swept(r):
+    """The largest n whose r-sets are all swept."""
+    n = r
+    while math.comb(n + 1, r) <= SWEEP_LIMIT:
+        n += 1
+    return n
+
+
+@st.composite
+def trusted_packing_cases(draw):
+    r = draw(st.integers(2, 6))
+    edge = last_swept(r)
+    swept = draw(st.booleans())
+    if swept:
+        top = min(edge, 150)
+        n = draw(st.integers(r, top) | st.integers(max(r, top - 5), top))
+        effort = draw(st.floats(min_value=0.0, max_value=2.0))
+    else:  # sampling alone; keep the draw count small at r = 2
+        n = draw(st.integers(edge + 1, edge + 20))
+        effort = draw(st.floats(min_value=0.0, max_value=0.5 if r > 2 else 0.05))
+    return (n, r, draw(st.integers(0, 2**32)), effort), swept
+
+
+@settings(max_examples=40, deadline=None)
+@given(trusted_packing_cases())
+def test_packing_equals_its_validated_rebuild(case_and_path):
+    case, swept = case_and_path
+    n, r = case[:2]
+    assert (math.comb(n, r) <= SWEEP_LIMIT) == swept
+    g = greedy_partial_steiner(*case)
+    assert (g.n, g.r, g.vertices) == (n, r, frozenset(range(n)))
+    assert_same_as_validated(g)
+
+
+@pytest.mark.parametrize("r", [1, 0, -1])
+def test_packing_rejects_uniformity_below_two(r):
+    with pytest.raises(NonUniformEdge):
+        greedy_partial_steiner(5, r)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(20, 120),
+    seed=st.integers(0, 2**32),
+    d=st.floats(min_value=0.2, max_value=2.0),
+    m=st.integers(2, 5),
+)
+def test_sparsified_graph_equals_its_validated_rebuild(n, seed, d, m):
+    base = greedy_partial_steiner(n, 3, seed=seed, effort=0.5)
+    try:  # p = 6d/n stays at most 0.6
+        report = high_girth_sparsify(base, d, m, seed=seed)
+    except RetriesExhausted as err:
+        report = err.best
+    assert report.graph.vertices == frozenset(range(n))
+    assert report.graph.edge_set <= base.edge_set
+    assert_same_as_validated(report.graph)
 
 
 # -- high_girth_sparsify -----------------------------------------------------------------
