@@ -3,7 +3,8 @@
 Subcommands: gen (instances), find (cycle families), verify (witness check),
 spectrum (oracle enumeration), sweep (success rate vs density), mert (tree
 inspection).  Exit codes: 0 success, 2 verified failure traces, 1 input
-or usage errors and a `find --mode c2k` search cut off by its budget.  A JSON
+or usage errors and a search cut off by its budget (`find --mode c2k`, or
+`spectrum`, which still prints the partial spectrum).  A JSON
 config file can mirror any flag of the subcommand and is checked like flags;
 explicit flags win.
 """
@@ -197,7 +198,8 @@ def cmd_spectrum(args) -> int:
         spec = enumerate_cycles(g, args.max_len, budget=args.budget)
     except BudgetExceeded as err:
         print(err.partial.to_json())
-        return 2
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     print(spec.to_json())
     return 0
 

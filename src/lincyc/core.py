@@ -14,6 +14,7 @@ their own invariants.  All objects are immutable after construction.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -78,11 +79,7 @@ class LinearHypergraph:
         self._index()
 
     def _index(self) -> None:
-        incident: dict[int, list[int]] = {}
-        for eid, e in enumerate(self.edges):
-            for v in e:
-                incident.setdefault(v, []).append(eid)
-        self.incident = {v: tuple(ids) for v, ids in incident.items()}
+        self.incident = {v: tuple(ids) for v, ids in _incidence(self.edges).items()}
         self.edge_set = frozenset(self.edges)
 
     # -- basic queries ------------------------------------------------------
@@ -188,6 +185,17 @@ class LinearHypergraph:
     @classmethod
     def from_json(cls, text: str) -> "LinearHypergraph":
         return cls.from_json_obj(json.loads(text))
+
+
+def _incidence(edges: Sequence[Edge]) -> dict[int, list[int]]:
+    """Vertex -> ids of the edges at it, in increasing order; the keys come
+    in first-seen order.  Read it with .get or known keys: a missing key
+    would be created."""
+    incident: defaultdict[int, list[int]] = defaultdict(list)
+    for eid, e in enumerate(edges):
+        for v in e:
+            incident[v].append(eid)
+    return incident
 
 
 def _assembled(n: int, r: int, edges: tuple[Edge, ...],
@@ -298,13 +306,13 @@ class ColoredGraph:
     def is_strongly_proper(self) -> bool:
         if any(self.color[e] & self.vertices for e in self.edges):
             return False
-        at: dict[int, list[Pair]] = {}
+        at: defaultdict[int, list[Pair]] = defaultdict(list)
         for e in self.edges:
             for v in e:
-                for f in at.get(v, ()):
+                for f in at[v]:
                     if self.color[e] & self.color[f]:
                         return False
-                at.setdefault(v, []).append(e)
+                at[v].append(e)
         return True
 
     def restrict(self, edges: Iterable[Pair]) -> "ColoredGraph":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .core import (
@@ -114,7 +114,6 @@ def layer_cap(n: int, d: float, k: int, cons: Constants) -> Optional[int]:
 class FailureTrace:
     stage: str
     reason: str
-    details: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -302,7 +301,8 @@ def cycles_from_boundary(
                 counts[pm[v]] = counts.get(pm[v], 0) + 1
     side = max(sorted(counts), key=lambda j: (counts[j], -j))
     ys = frozenset(v for v in partition.parts[side] if v in vht)
-    dprime = [e for e in d_edges if lt1.intersection(e) and ys.intersection(e)]
+    # every D-edge meets L_{t-1}: build_mert files it only then
+    dprime = [e for e in d_edges if ys.intersection(e)]
     b = project(g.edge_induced(dprime), partition, ell, side)
     bprime = dense_connected(b)
     s = sorted(bprime.vertices & lt1)

@@ -177,7 +177,6 @@ def _maximality_sweep(
 class SparsifyReport:
     graph: LinearHypergraph
     attempts: int
-    kept_edges: int
     deleted_edges: list[tuple[int, ...]]
     average_degree: float
     expected_short_cycles_bound: float
@@ -227,9 +226,7 @@ def high_girth_sparsify(
             if gone:
                 kept = [e for e in kept if e not in gone]
         g = base._cut(tuple(kept), everyone)
-        report = SparsifyReport(
-            g, attempt, len(kept), deleted, g.average_degree(), expected_bound
-        )
+        report = SparsifyReport(g, attempt, deleted, g.average_degree(), expected_bound)
         if best is None or report.average_degree > best.average_degree:
             best = report
         if report.average_degree >= d:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -268,7 +269,6 @@ class PanConnectedFamily:
     """Paths from x of every length in {t+3, ..., t+k+2}, all sharing the same
     final two edges e then f."""
 
-    start: int
     t: int
     e: tuple[int, ...]
     f: tuple[int, ...]
@@ -305,7 +305,7 @@ def pan_connected(
     want = set(range(t + 3, t + k + 3))
     if set(fam) != want:
         raise NotFound(f"family lengths {sorted(fam)} != expected {sorted(want)}")
-    return PanConnectedFamily(x, t, e, last, fam)
+    return PanConnectedFamily(t, e, last, fam)
 
 
 # -- strongly rainbow E1/E2 path -----------------------------------------------
@@ -405,17 +405,16 @@ def rainbow_special_path(
 
 
 def _rainbow_by_proof(h, set1, set2, length, r) -> Optional[list[int]]:
-    adj2: dict[int, list[int]] = {}
+    adj2: defaultdict[int, list[int]] = defaultdict(list)
     for u, v in sorted(set2):
-        adj2.setdefault(u, []).append(v)
-        adj2.setdefault(v, []).append(u)
+        adj2[u].append(v)
+        adj2[v].append(u)
     if not adj2:
         return None
     comps = _components(adj2)
 
     def comp_avg(comp: set[int]) -> float:
-        es = sum(1 for u, v in set2 if u in comp)
-        return 2 * es / len(comp)
+        return sum(len(adj2[v]) for v in comp) / len(comp)
 
     comp = max(comps, key=lambda c: (comp_avg(c), -min(c)))
     l_edges = [p for p in set2 if p[0] in comp]
@@ -456,13 +455,8 @@ def _rainbow_by_proof(h, set1, set2, length, r) -> Optional[list[int]]:
                 stack.append((path + [w], colors | c))
         return None
 
-    base: Optional[list[int]] = None
-    for s in order:
-        base = increasing_path_from(s)
-        if base is not None:
-            break
-    if base is None:
-        return None
+    # a core vertex s yields [s], and the core is non-empty
+    base = next(p for p in map(increasing_path_from, order) if p is not None)
 
     adj_h = h.adjacency()
     for v in adj_h:

@@ -19,6 +19,8 @@ r-partition one vertex at a time until the transversal edges reach r!/r^r of
 e(G).  One tally over a vertex's edges prices its moves to every class, and a
 vertex none of whose neighbours moved since it was last priced is skipped, so
 the climb takes the same steps as re-pricing every vertex on every sweep.
+The transversals are collected once, after the climb, and checked against the
+target there.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .core import Edge, LinearHypergraph, LinearPath, Pair, RPartition, _pair
+from .core import Edge, LinearHypergraph, LinearPath, Pair, RPartition, _incidence, _pair
 from .errors import EmptyCore, InvariantViolation, PreconditionFailed, RetriesExhausted
 
 
@@ -43,10 +45,7 @@ def _peel(edges, vertices, stop) -> tuple[list[int], set[int], list[bool]]:
     until stop(degree, alive count, live edge count) holds for it.  vertices
     must hold every vertex of an edge; None means exactly those.  Returns the
     deletion order, the survivors and a live-edge mask."""
-    incident: dict[int, list[int]] = {}
-    for eid, e in enumerate(edges):
-        for v in e:
-            incident.setdefault(v, []).append(eid)
+    incident = _incidence(edges)
     deg = {v: len(incident.get(v, ())) for v in (incident if vertices is None else vertices)}
     alive = set(deg)
     live = [True] * len(edges)
@@ -78,10 +77,7 @@ def min_degree_core(edges: Sequence[Edge], r: int, d: float) -> tuple[list[Edge]
     input order, and their minimum degree (0 when none is left).  The
     survivors are the unique such core, whatever the deletion order, so a
     vertex joins the worklist once, when its degree first drops below d/r."""
-    incident: dict[int, list[int]] = {}
-    for eid, e in enumerate(edges):
-        for v in e:
-            incident.setdefault(v, []).append(eid)
+    incident = _incidence(edges)
     deg = {v: len(eids) for v, eids in incident.items()}
     live = [True] * len(edges)
     # a vertex stays while k * r >= d; the negated form deletes every vertex
@@ -225,9 +221,10 @@ def d_minimal(g: LinearHypergraph, d: float) -> LinearHypergraph:
     """
     if g.average_degree() < d:
         raise PreconditionFailed(f"average degree {g.average_degree()} below {d}")
-    _, alive, _ = _peel(g.edges, g.vertices,
-                        lambda k, a, e: a <= 1 or g.r * (e - k) < d * (a - 1))
-    out = g.induced(frozenset(alive))
+    _, alive, live = _peel(g.edges, g.vertices,
+                           lambda k, a, e: a <= 1 or g.r * (e - k) < d * (a - 1))
+    # an edge stays live exactly when none of its vertices was deleted
+    out = g._cut(tuple(e for e, ok in zip(g.edges, live) if ok), frozenset(alive))
     if out.average_degree() < d:
         raise InvariantViolation("d-minimal subgraph has average degree below d")
     return out
@@ -236,12 +233,6 @@ def d_minimal(g: LinearHypergraph, d: float) -> LinearHypergraph:
 # -- r-partite reduction (Erdős–Kleitman) -------------------------------------
 
 RESTARTS = 64
-
-
-def _transversals(g: LinearHypergraph, part_of: dict[int, int]) -> list[tuple[int, ...]]:
-    """The edges that meet every class of part_of exactly once."""
-    r = g.r
-    return [e for e in g.edges if len({part_of[v] for v in e}) == r]
 
 
 def r_partite_reduction(
@@ -253,7 +244,8 @@ def r_partite_reduction(
     Each of up to RESTARTS attempts shuffles a balanced labelling and sweeps
     the vertices in id order until a sweep moves none.  A sweep moves v to
     the first class that gains the most transversal edges at v, if any class
-    gains at least one.
+    gains at least one.  The transversal edges are collected once, after the
+    climb, and the attempt stands if they reach the target.
 
     Moving v changes only v's edges, and an edge at v is a transversal with v
     in class p exactly when its other r - 1 vertices sit in distinct classes
@@ -263,7 +255,8 @@ def r_partite_reduction(
     one pass over v's edges prices every move.  The tally depends only on the
     classes of v's neighbours, so a vertex that stayed put stays put until a
     neighbour moves; such clean vertices are skipped, which leaves the order
-    of moves, and so the result, that of re-evaluating every vertex.
+    of moves, and so the result, that of re-evaluating every vertex.  The
+    climb ends when no vertex is dirty, which is when a sweep would move none.
     """
     r = g.r
     target = math.factorial(r) / r**r * len(g.edges)
@@ -280,13 +273,10 @@ def r_partite_reduction(
         labels = [i % r for i in range(len(verts))]
         rng.shuffle(labels)
         part_of = dict(zip(verts, labels))
-        count = len(_transversals(g, part_of))
         dirty = set(verts)
-        improved = True
         # climb to a local maximum even after clearing the target: partite
         # edges are scarce at higher r and downstream stages want every one
-        while improved:
-            improved = False
+        while dirty:
             for v in verts:
                 if v not in dirty:
                     continue
@@ -302,21 +292,15 @@ def r_partite_reduction(
                         classes = {part_of[u] for u in rest}
                         if len(classes) == r - 1:
                             tally[full - sum(classes)] += 1
-                here = tally[part_of[v]]
-                best_gain, best_part = 0, None
-                for p in range(r):
-                    if tally[p] - here > best_gain:
-                        best_gain, best_part = tally[p] - here, p
-                if best_gain:
-                    part_of[v] = best_part
-                    count += best_gain
-                    improved = True
+                best = max(range(r), key=tally.__getitem__)
+                if tally[best] > tally[part_of[v]]:
+                    part_of[v] = best
                     for rest in others[v]:
                         dirty.update(rest)
-        if count >= target:
+        t = tuple(e for e in g.edges if len({part_of[v] for v in e}) == r)
+        if len(t) >= target:
             parts = tuple(frozenset(v for v, p in part_of.items() if p == i) for i in range(r))
-            t = _transversals(g, part_of)
-            return g._cut(tuple(t), frozenset(v for e in t for v in e)), RPartition(parts)
+            return g._cut(t, frozenset(v for e in t for v in e)), RPartition(parts)
     raise RetriesExhausted("r-partite reduction below the r!/r^r guarantee", RESTARTS)
 
 

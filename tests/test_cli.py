@@ -353,13 +353,14 @@ def test_spectrum_json(planted_file, capsys):
 
 
 def test_spectrum_budget_exit(planted_file, capsys):
-    code, out, _ = run(
+    code, out, err = run(
         ["spectrum", "--input", str(planted_file), "--max-len", "6",
          "--budget", "3"],
         capsys,
     )
-    assert code == 2
+    assert code == 1
     assert json.loads(out)["complete"] is False
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_mert_dump(tmp_path, capsys):

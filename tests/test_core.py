@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lincyc import (
@@ -29,7 +29,7 @@ from lincyc import (
     verify_cycle,
     verify_path,
 )
-from lincyc.core import MAX_PARSED_VERTICES
+from lincyc.core import MAX_PARSED_VERTICES, _incidence
 from conftest import FANO_LINES, planted_c4
 
 
@@ -98,6 +98,21 @@ def test_degrees_single_edge():
 def test_degrees_two_disjoint_triples():
     g = build(6, 3, [(0, 1, 2), (3, 4, 5)])
     assert g.min_degree() == 1 and g.average_degree() == pytest.approx(1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=2, max_value=5).flatmap(lambda r: st.lists(
+    st.lists(st.integers(0, 15), min_size=r, max_size=r, unique=True).map(tuple),
+    max_size=20,
+)))
+@example([])
+def test_incidence_matches_a_naive_build(edges):
+    naive: dict[int, list[int]] = {}
+    for eid, e in enumerate(edges):
+        for v in e:
+            naive.setdefault(v, []).append(eid)
+    # compared as item lists, so the first-seen key order counts too
+    assert list(_incidence(edges).items()) == list(naive.items())
 
 
 # -- projections -----------------------------------------------------------------

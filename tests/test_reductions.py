@@ -3,6 +3,7 @@ first-order density-minimal subgraphs, and the r-partite reduction."""
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections import Counter
@@ -465,10 +466,7 @@ def partite_cases(draw):
     return g, draw(st.integers(0, 10**6))
 
 
-@settings(max_examples=300, deadline=None)
-@given(partite_cases())
-def test_partite_reduction_matches_naive_climb(case):
-    g, seed = case
+def assert_same_climb(g, seed):
     got = outcome(r_partite_reduction, g, seed)
     want = outcome(naive_partite, g, seed)
     if isinstance(want, tuple):
@@ -478,3 +476,27 @@ def test_partite_reduction_matches_naive_climb(case):
     assert sub.edges == want_sub.edges
     assert sub.vertices == want_sub.vertices
     assert partition.parts == want_partition.parts
+
+
+@settings(max_examples=300, deadline=None)
+@given(partite_cases())
+def test_partite_reduction_matches_naive_climb(case):
+    assert_same_climb(*case)
+
+
+@functools.lru_cache(maxsize=None)
+def thinned_packing(n: int, r: int, d: float) -> LinearHypergraph:
+    """The acceptance suite's recipe at seed 1: a greedy packing at effort
+    1.0 with each edge kept so that the average degree is about d."""
+    rng = random.Random(1)
+    base = greedy_partial_steiner(n, r, seed=1, effort=1.0)
+    p = min(1.0, d * n / max(1, r * base.num_edges()))
+    return build(n, r, [e for e in base.edges if rng.random() < p])
+
+
+# the benchmark's sizes, where the first climb takes three to five sweeps and
+# most vertices are clean when a later sweep reaches them
+@pytest.mark.parametrize("n,r", [(2000, 3), (200, 4)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_partite_reduction_matches_naive_climb_at_workload_scale(n, r, seed):
+    assert_same_climb(thinned_packing(n, r, 6.0), seed)
