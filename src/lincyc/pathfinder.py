@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from itertools import chain
+from typing import Iterable, KeysView, Optional, Sequence
 
 from .core import ColoredGraph, Edge, LinearHypergraph, LinearPath, Pair, _pair, verify_path
 from .errors import (
@@ -23,7 +24,7 @@ from .errors import (
     PreconditionFailed,
     RetriesExhausted,
 )
-from .reductions import BfsLayers, bfs_layers, degenerate_ordering, min_degree_core
+from .reductions import BfsLayers, _counted_core, bfs_layers, degenerate_ordering, degeneracy
 
 
 # -- dense layer subgraph ------------------------------------------------------
@@ -118,14 +119,39 @@ def anchored_subgraph(
     d: float,
     seed: int = 0,
 ) -> AnchoredSubgraph:
+    """Layer m, anchors and a subgraph F of the dense layer subgraph h with
+    P1 (each edge of F holds exactly one anchor), P2 (F avoids every layer
+    before m) and P3 (each anchor in F has a shortest path from x meeting
+    V(F) only in that anchor), found by seeded random draws.
+
+    A draw picks anchors at random in layer m, keeps the edges holding
+    exactly one of them, and peels those to their core at their own average
+    degree.  The loop keeps the first draw of the highest core minimum
+    degree and ends in one of four ways:
+
+    - a draw reaches good_enough, which leaves downstream constructions room
+      to peel again;
+    - a draw reaches h's degeneracy, which no later draw can beat;
+    - a draw at attempt 60 or later keeps a core that meets the threshold;
+    - all ANCHOR_ATTEMPTS draws are spent.
+
+    The first three return the kept draw; the last returns it too, or raises
+    RetriesExhausted if no draw was kept.  The draws the first three skip
+    would only have advanced the call's own random generator.
+    """
     lay = bfs_layers(g, x)
     m, h = dense_layer_subgraph(g, x, d, lay)
     v_m = sorted(h.vertices & lay.layer(m))
+    h_edges = h.edges
+    del h  # the rest reads only h's edges; free its incidence maps first
     rng = random.Random(seed)
     threshold = d / (g.r * 2 ** (2 * g.r + 1))
     # keep drawing past the first valid candidate until one has a workably
     # large minimum degree; downstream constructions need room to peel again
     good_enough = max(4.0, threshold)
+    # a draw keeps a subset of h's edges, so its minimum degree is at most
+    # h's degeneracy; the loop stops once best_low reaches that or good_enough
+    ceiling = degeneracy(h_edges, g.r, good_enough)
     best: Optional[AnchoredSubgraph] = None
     best_low = 0  # a kept core has minimum degree at least 1
     # the draw index, built once per call: the draws pick anchors from v_m only,
@@ -137,18 +163,18 @@ def anchored_subgraph(
     in_m = set(v_m)
     own: dict[int, list[Edge]] = {v: [] for v in v_m}
     multi: list[Edge] = []
-    for e in h.edges:
+    for e in h_edges:
         hits = [v for v in e if v in in_m]
         if len(hits) == 1:
             own[hits[0]].append(e)
         else:
             multi.append(e)
-    del h  # the draws read only the index; free h's incidence maps before them
+    # an anchor's BFS path must meet V(F) only in the anchor (P3).  BFS
+    # distances count edges, so the first m - 1 edges of the path lie in
+    # layers below m and V(F), inside V(h), lies in layers m and above: the
+    # path can meet V(F) only in its last edge, the parent edge, and there
+    # only in the anchor's siblings, the parent edge's other vertices in v_m
     siblings = {v: [u for u in lay.parent_edge[v] if u != v and u in in_m] for v in v_m}
-    # witness cache, filled as anchors reach V(F): the vertices of each
-    # anchor's BFS path other than the anchor, which must stay out of V(F).
-    # The paths themselves are rebuilt only for a draw that is kept.
-    passengers: dict[int, tuple[int, ...]] = {}
 
     # the even draw is the analysable one; the skewed draws keep far more
     # edges when most of an edge's vertices sit in the target layer
@@ -166,37 +192,41 @@ def anchored_subgraph(
             inx = xs.intersection(e)
             if len(inx) == 1 and inx.pop() in ok_ys:
                 nice.append(e)
-        kept, low = min_degree_core(nice, g.r, _average_degree(nice, g.r))
+        kept, low, fv = _own_core(nice, g.r)
         anchors = frozenset(ys)
-        # witness paths may carry passengers into V(F); one repair pass drops
-        # every edge touching such a passenger, after which none is left (P3)
-        fv = {v for e in kept for v in e}
-        for v in (fv & anchors) - passengers.keys():
-            passengers[v] = tuple(lay.path_to(v).vertex_set() - {v})
-        bad = {u for v in fv & anchors for u in passengers[v] if u in fv}
+        # one repair pass drops every edge at a sibling in V(F) of an anchor
+        # in V(F), after which none is left (P3)
+        bad = {u for v in fv & anchors for u in siblings[v] if u in fv}
         if bad:
-            kept = [e for e in kept if not bad.intersection(e)]
-            kept, low = min_degree_core(kept, g.r, _average_degree(kept, g.r))
-            fv = {v for e in kept for v in e}
+            kept, low, fv = _own_core([e for e in kept if bad.isdisjoint(e)], g.r)
         if not kept or low < threshold:
             continue
         # only a draw that is kept or returned becomes a graph, and is checked
-        # for P1-P3; best_low stays below good_enough, so a draw that reaches
-        # it is always kept
+        # for P1-P3 against the BFS paths themselves; best_low stays below the
+        # ceiling, so a draw that reaches it is always kept
         if low > best_low:
-            hit = sorted(fv & anchors)
+            paths = {v: lay.path_to(v) for v in sorted(fv & anchors)}
             if not (_anchored_ok(kept, anchors, lay, m)
-                    and all(fv.isdisjoint(passengers[v]) for v in hit)):
+                    and all(fv.isdisjoint(p.vertex_set() - {v}) for v, p in paths.items())):
                 raise InvariantViolation("an anchored draw breaks P1, P2 or P3")
-            best, best_low = AnchoredSubgraph(
-                m, anchors, g.edge_induced(kept), {v: lay.path_to(v) for v in hit}, lay), low
-            if low >= good_enough:
+            best, best_low = AnchoredSubgraph(m, anchors, g.edge_induced(kept), paths, lay), low
+            if low >= ceiling:
                 return best
         if attempt >= 60:
             break
     if best is not None:
         return best
     raise RetriesExhausted("anchored subgraph draws kept failing P1-P3", ANCHOR_ATTEMPTS)
+
+
+def _own_core(edges: list[Edge], r: int) -> tuple[list[Edge], int, KeysView[int]]:
+    """The core of the edges at their own average degree, its minimum degree
+    and its vertex set, from one count of the edges."""
+    deg = Counter(chain.from_iterable(edges))
+    if not deg:
+        return edges, 0, deg.keys()
+    kept, low = _counted_core(edges, deg, r, r * len(edges) / len(deg))
+    return kept, low, deg.keys()
 
 
 def _anchored_ok(edges: Sequence[Edge], anchors: frozenset[int], lay: BfsLayers, m: int) -> bool:

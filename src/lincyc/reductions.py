@@ -11,8 +11,10 @@ can, and a lazy min-heap deletes the same vertices in the same order as a
 rescan of every live vertex (Matula-Beck smallest-last, Batagelj-Zaversnik).
 `min_degree_core` needs no order: the core of minimum degree at least d/r is
 unique, so a worklist deletes each vertex once it falls below d/r, with no
-heap.  It peels a bare edge list, so the anchored draws in `pathfinder` build
-no graph per draw.
+heap.  It counts the degrees first and returns at once when every degree
+already meets d/r, as most anchored draws do.  It peels a bare edge list, so
+the anchored draws in `pathfinder` build no graph per draw, and
+`degeneracy` bounds what any of their draws can reach.
 
 The r-partite reduction (Erdős–Kleitman) hill-climbs a random balanced
 r-partition one vertex at a time until the transversal edges reach r!/r^r of
@@ -28,9 +30,10 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .core import Edge, LinearHypergraph, LinearPath, Pair, RPartition, _incidence, _pair
@@ -77,15 +80,23 @@ def min_degree_core(edges: Sequence[Edge], r: int, d: float) -> tuple[list[Edge]
     input order, and their minimum degree (0 when none is left).  The
     survivors are the unique such core, whatever the deletion order, so a
     vertex joins the worklist once, when its degree first drops below d/r."""
+    return _counted_core(edges, Counter(chain.from_iterable(edges)), r, d)
+
+
+def _counted_core(edges: Sequence[Edge], deg: Counter, r: int, d: float) -> tuple[list[Edge], int]:
+    """min_degree_core given deg, the degree of every vertex of edges.  deg
+    is left holding the core's degrees: a deleted vertex loses its key."""
+    low = min(deg.values(), default=0)
+    # a vertex stays while k * r >= d, a test every k fails for a NaN d, so
+    # a NaN d deletes every vertex, as the smallest-last peel did
+    if low * r >= d:
+        return list(edges), low  # every degree meets the threshold: no peel
     incident = _incidence(edges)
-    deg = {v: len(eids) for v, eids in incident.items()}
     live = [True] * len(edges)
-    # a vertex stays while k * r >= d; the negated form deletes every vertex
-    # for a NaN d, as the smallest-last peel did
     work = [v for v, k in deg.items() if not k * r >= d]
     while work:
         v = work.pop()
-        deg[v] = 0  # every edge at v dies now, so nothing lowers deg[v] again
+        del deg[v]  # every edge at v dies now, so nothing reads deg[v] again
         for eid in incident[v]:
             if live[eid]:
                 live[eid] = False
@@ -96,10 +107,24 @@ def min_degree_core(edges: Sequence[Edge], r: int, d: float) -> tuple[list[Edge]
                         if k * r >= d and not (k - 1) * r >= d:
                             work.append(u)
     kept = [e for e, ok in zip(edges, live) if ok]
-    low = min((k for k in deg.values() if k), default=0)
+    low = min(deg.values(), default=0)
     if kept and low * r < d:
         raise InvariantViolation("core minimum degree below the peeling threshold")
     return kept, low
+
+
+def degeneracy(edges: Sequence[Edge], r: int, cap: float) -> int:
+    """The degeneracy of the edges, capped at ceil(cap): the largest k for
+    which they have a non-empty core of minimum degree k (0 for no edges),
+    so no subset of them has a larger minimum degree.  Cores nest, so each
+    step peels the last core to one above its minimum degree."""
+    k, kept = 0, edges
+    while k < cap:
+        kept, low = min_degree_core(kept, r, r * (k + 1))
+        if not kept:
+            break
+        k = low
+    return min(k, math.ceil(cap))
 
 
 def min_degree_subgraph(g: LinearHypergraph, d: float) -> LinearHypergraph:

@@ -37,7 +37,7 @@ from lincyc.pathfinder import (
     check_rainbow_special,
     layer_index_bound,
 )
-from lincyc.reductions import max_degree_root
+from lincyc.reductions import degeneracy, max_degree_root
 from conftest import difference_projection, split_edges, transversal_regular_instance
 
 
@@ -182,7 +182,10 @@ def naive_anchored_ok(f, anchors, lay, m):
                for e in f.edges)
 
 
-def naive_anchored_subgraph(g, x, d, seed=0):
+def naive_anchored_subgraph(g, x, d, seed=0, log=None):
+    """log, when given, gets [attempt, repaired, min degree] for each draw
+    whose first peel leaves a core: repaired when the draw's repair set is
+    non-empty, and the min degree None when the repair empties the core."""
     lay = bfs_layers(g, x)
     m, h = naive_dense_layer_subgraph(g, x, d, lay)
     v_m = sorted(h.vertices & lay.layer(m))
@@ -217,6 +220,8 @@ def naive_anchored_subgraph(g, x, d, seed=0):
         bad = set()
         for v in sorted(f.vertices & anchors):
             bad |= (lay.path_to(v).vertex_set() - {v}) & f.vertices
+        if log is not None:
+            log.append([attempt, bool(bad), None])
         if bad:
             keep = [e for e in f.edges if not bad.intersection(e)]
             if not keep:
@@ -226,6 +231,8 @@ def naive_anchored_subgraph(g, x, d, seed=0):
                 f = naive_min_degree_subgraph(f, f.average_degree())
             except EmptyCore:
                 continue
+        if log is not None:
+            log[-1][2] = f.min_degree()
         if f.min_degree() < threshold:
             continue
         if not naive_anchored_ok(f, anchors, lay, m):
@@ -328,6 +335,36 @@ def test_draws_match_the_reference_at_workload_scale(n, d, seed):
     assert got[0] == m == 1
     lm = bfs_layers(g, x).layer(m)
     assert any(len(lm.intersection(e)) >= 2 for e in h.edges)
+
+
+# pan_connected roots anchored_subgraph again at each anchor of the first
+# call's F, at its best-effort density.  There h is often 1-degenerate, so the
+# first draw that keeps a core already reaches h's degeneracy and ends the
+# loop, with draws left unspent.  Each case has such a call in which a draw up
+# to that one had a non-empty repair set.
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_nested_draws_match_the_reference_at_workload_scale(seed):
+    g, x, d_eff = _pipeline_case(300, 18, seed)
+    top = anchored_subgraph(g, x, d_eff, seed)
+    f, k = top.subgraph, 2
+    r = f.r
+    d_prime = k * r * r * 2 ** (2 * r + 2)
+    delta = f.min_degree()
+    d = d_prime if delta >= 2 * d_prime else max(1.0, delta / 2)
+    good_enough = max(4.0, d / (r * 2 ** (2 * r + 1)))
+    stopped_after_a_repair = False
+    for a in sorted(f.vertices & top.anchors):
+        anc, log = anchored_subgraph(f, a, d, seed), []
+        assert ((anc.m, anc.anchors, anc.subgraph, anc.witness_paths)
+                == settle(naive_anchored_subgraph, f, a, d, seed, log))
+        _, h = dense_layer_subgraph(f, a, d)
+        ceiling = degeneracy(h.edges, r, good_enough)
+        if anc.subgraph.min_degree() == ceiling < good_enough:
+            reached = next(i for i, (_, _, low) in enumerate(log) if low == ceiling)
+            stopped_after_a_repair |= any(repaired for _, repaired, _ in log[: reached + 1])
+    assert stopped_after_a_repair
 
 
 # -- path_with_part -----------------------------------------------------------------

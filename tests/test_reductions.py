@@ -27,7 +27,7 @@ from lincyc import (
     min_degree_subgraph,
     r_partite_reduction,
 )
-from lincyc.reductions import PeelResult, min_degree_core
+from lincyc.reductions import PeelResult, degeneracy, min_degree_core
 from conftest import FANO_LINES
 
 
@@ -344,6 +344,25 @@ def test_hypergraph_peels_match_naive_rescan(case):
     assert got.edges == g.induced(alive).edges
 
 
+@settings(max_examples=100, deadline=None)
+@given(linear_graphs())
+def test_layer_paths_leave_lower_layers_only_in_their_last_edge(case):
+    """The path to v lies in layers below dist[v] but for its last edge,
+    parent_edge[v], whose other vertices lie in layers dist[v] - 1 and
+    dist[v].  The anchored draws' P3 repair relies on it: the only vertices
+    of an anchor's path that can lie in V(F) are its parent edge's."""
+    g, _ = case
+    for x in sorted(g.vertices):
+        lay = bfs_layers(g, x)
+        for v, i in lay.dist.items():
+            rest = lay.path_to(v).vertex_set() - {v}
+            if i:
+                last = set(lay.parent_edge[v]) - {v}
+                assert {lay.dist[u] for u in last} <= {i - 1, i}
+                rest -= last
+            assert all(lay.dist[u] < i for u in rest)
+
+
 def naive_core(edges, r, d):
     """Drop every edge at a vertex of degree below d/r, all at once, until
     none is left; the kept edges in input order and their minimum degree."""
@@ -378,9 +397,37 @@ def edge_lists(draw):
 @example(([], 3, 0.0))
 @example(([], 2, 1.5))
 @example(([(0, 1, 2), (0, 3, 4)], 3, 7.0))
+@example((FANO_LINES, 3, 9.0))  # every degree on the boundary: nothing is peeled
+@example(([(0, 1, 2), (0, 3, 4)], 3, 3.0))
+@example((FANO_LINES, 3, math.nan))
+@example(([], 3, math.nan))
 def test_min_degree_core_matches_naive_rescan(case):
     edges, r, d = case
+    if math.isnan(d):  # no degree meets a NaN threshold, so every vertex goes
+        assert min_degree_core(edges, r, d) == ([], 0)
+        return
     assert min_degree_core(edges, r, d) == naive_core(edges, r, d)
+
+
+def naive_degeneracy(edges, r):
+    """The largest k whose core of minimum degree k is non-empty, trying
+    k = 1, 2, ... in turn."""
+    k = 0
+    while naive_core(edges, r, r * (k + 1))[0]:
+        k += 1
+    return k
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists(), st.integers(min_value=0, max_value=40).map(lambda c: c / 4))
+@example(([], 3, 0.0), 4.0)
+@example(([(0, 1, 2)], 3, 3.0), 4.0)
+@example(([(0, 1, 2)], 3, 3.0), 0.0)
+@example((FANO_LINES, 3, 9.0), 2.5)
+@example((FANO_LINES, 3, 9.0), 4.0)
+def test_degeneracy_matches_naive_scan(case, cap):
+    edges, r, _ = case
+    assert degeneracy(edges, r, cap) == min(naive_degeneracy(edges, r), math.ceil(cap))
 
 
 @settings(max_examples=300, deadline=None)
