@@ -67,11 +67,11 @@ class LinearHypergraph:
         self.n = n
         self.r = r
         self.edges: tuple[Edge, ...] = tuple(sorted(norm))
-        self.vertices = frozenset(range(n)) if vertices is None else frozenset(vertices)
+        self.vertices = frozenset(range(n)) if vertices is None else _in_range(vertices, n)
         first_edge: dict[Pair, int] = {}
         for eid, e in enumerate(self.edges):
             for v in e:
-                if not (0 <= v < n) or v not in self.vertices:
+                if v not in self.vertices:  # a subset of range(n) by now
                     raise VertexOutOfRange(v, n)
             for p in combinations(e, 2):
                 if first_edge.setdefault(p, eid) != eid:
@@ -110,7 +110,7 @@ class LinearHypergraph:
     # -- subgraphs ----------------------------------------------------------
 
     def induced(self, subset: Iterable[int]) -> "LinearHypergraph":
-        s = frozenset(subset)
+        s = _in_range(subset, self.n)
         return self._cut(tuple(e for e in self.edges if all(v in s for v in e)), s)
 
     def edge_induced(self, edges: Iterable[Iterable[int]]) -> "LinearHypergraph":
@@ -185,6 +185,16 @@ class LinearHypergraph:
     @classmethod
     def from_json(cls, text: str) -> "LinearHypergraph":
         return cls.from_json_obj(json.loads(text))
+
+
+def _in_range(vertices: Iterable[int], n: int) -> frozenset[int]:
+    """The vertices as a set, or VertexOutOfRange naming the least one
+    outside 0..n-1."""
+    s = frozenset(vertices)
+    stray = [v for v in s if not 0 <= v < n]
+    if stray:
+        raise VertexOutOfRange(min(stray), n)
+    return s
 
 
 def _incidence(edges: Sequence[Edge]) -> dict[int, list[int]]:

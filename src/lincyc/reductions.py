@@ -18,11 +18,11 @@ the anchored draws in `pathfinder` build no graph per draw, and
 
 The r-partite reduction (Erdős–Kleitman) hill-climbs a random balanced
 r-partition one vertex at a time until the transversal edges reach r!/r^r of
-e(G).  One tally over a vertex's edges prices its moves to every class, and a
-vertex none of whose neighbours moved since it was last priced is skipped, so
-the climb takes the same steps as re-pricing every vertex on every sweep.
-The transversals are collected once, after the climb, and checked against the
-target there.
+e(G).  It keeps, for every vertex and class, the number of edges at the vertex
+that would be transversal with it in that class.  A move re-prices only the
+other vertices of the mover's edges, so a sweep reads each vertex's best move
+off its tally.  The transversals are collected once, after the climb, and
+checked against the tallies and the target there.
 """
 
 from __future__ import annotations
@@ -43,12 +43,12 @@ from .errors import EmptyCore, InvariantViolation, PreconditionFailed, RetriesEx
 # -- smallest-last peeling and the minimum-degree core -------------------------
 
 
-def _peel(edges, vertices, stop) -> tuple[list[int], set[int], list[bool]]:
+def _peel(incident, edges, vertices, stop) -> tuple[list[int], set[int], list[bool]]:
     """Delete the live vertex of least (live degree, id), with its edges,
-    until stop(degree, alive count, live edge count) holds for it.  vertices
-    must hold every vertex of an edge; None means exactly those.  Returns the
-    deletion order, the survivors and a live-edge mask."""
-    incident = _incidence(edges)
+    until stop(degree, alive count, live edge count) holds for it.  incident
+    maps each vertex to the ids of its edges; vertices must hold every vertex
+    of an edge, and None means exactly those.  Returns the deletion order,
+    the survivors and a live-edge mask."""
     deg = {v: len(incident.get(v, ())) for v in (incident if vertices is None else vertices)}
     alive = set(deg)
     live = [True] * len(edges)
@@ -160,7 +160,7 @@ def degenerate_ordering(edges: Iterable[Pair], d: float) -> PeelResult:
     es = sorted(set(_pair(*e) for e in edges))
     if any(u == v for u, v in es):
         raise PreconditionFailed("a 2-graph has no loop (v, v)")
-    deleted, alive, live = _peel(es, None, lambda k, a, e: k >= d)
+    deleted, alive, live = _peel(_incidence(es), es, None, lambda k, a, e: k >= d)
     if not alive:
         raise EmptyCore(f"no core of minimum degree {d}")
     ordering = deleted + sorted(alive)
@@ -246,7 +246,7 @@ def d_minimal(g: LinearHypergraph, d: float) -> LinearHypergraph:
     """
     if g.average_degree() < d:
         raise PreconditionFailed(f"average degree {g.average_degree()} below {d}")
-    _, alive, live = _peel(g.edges, g.vertices,
+    _, alive, live = _peel(g.incident, g.edges, g.vertices,
                            lambda k, a, e: a <= 1 or g.r * (e - k) < d * (a - 1))
     # an edge stays live exactly when none of its vertices was deleted
     out = g._cut(tuple(e for e, ok in zip(g.edges, live) if ok), frozenset(alive))
@@ -258,6 +258,22 @@ def d_minimal(g: LinearHypergraph, d: float) -> LinearHypergraph:
 # -- r-partite reduction (Erdős–Kleitman) -------------------------------------
 
 RESTARTS = 64
+
+
+def _credits(e: Edge, classes: list[int], r: int):
+    """The (vertex, class) tallies that edge e adds with its vertices in
+    classes.  A vertex is credited when the other r - 1 classes are distinct;
+    they then miss one class, r(r-1)/2 minus their sum.  So r distinct
+    classes credit each vertex its own class, r - 1 credit the two vertices
+    of the repeated class with the missing one, and fewer credit nothing."""
+    distinct = set(classes)
+    if len(distinct) == r:
+        return zip(e, classes)
+    if len(distinct) == r - 1:
+        repeated = sum(classes) - sum(distinct)
+        missing = r * (r - 1) // 2 - sum(distinct)
+        return [(u, missing) for u, c in zip(e, classes) if c == repeated]
+    return ()
 
 
 def r_partite_reduction(
@@ -272,59 +288,87 @@ def r_partite_reduction(
     gains at least one.  The transversal edges are collected once, after the
     climb, and the attempt stands if they reach the target.
 
-    Moving v changes only v's edges, and an edge at v is a transversal with v
-    in class p exactly when its other r - 1 vertices sit in distinct classes
-    none of which is p.  Distinct classes from 0..r-1 miss exactly one, whose
-    index is r(r-1)/2 minus their sum, so each edge adds one to the tally of
-    at most one class, and the gain of class p is tally[p] - tally[v's class]:
-    one pass over v's edges prices every move.  The tally depends only on the
-    classes of v's neighbours, so a vertex that stayed put stays put until a
-    neighbour moves; such clean vertices are skipped, which leaves the order
-    of moves, and so the result, that of re-evaluating every vertex.  The
-    climb ends when no vertex is dirty, which is when a sweep would move none.
+    tally[v][p] counts the edges at v that would be transversal with v in
+    class p, so the gain of moving v to p is tally[v][p] - tally[v][part[v]].
+    The tallies are seeded in one pass over the edges.  v's tally does not
+    depend on v's own class, so a move of v re-prices only the other vertices
+    of v's edges, and every tally a sweep reads equals a recount.  Only a
+    transversal edge credits a vertex with its own class, once for each of
+    its r vertices, so the tallies of the classes held sum to r times the
+    transversal count; that is checked after each climb.
     """
     r = g.r
     target = math.factorial(r) / r**r * len(g.edges)
     verts = sorted(g.vertices)
+    edges, incident = g.edges, g.incident
     rng = random.Random(seed)
-
-    # the other r - 1 vertices of each edge at v
-    others: dict[int, list[tuple[int, ...]]] = {v: [] for v in verts}
-    for e in g.edges:
-        for i, v in enumerate(e):
-            others[v].append(e[:i] + e[i + 1 :])
-    full = r * (r - 1) // 2
     for _ in range(RESTARTS):
         labels = [i % r for i in range(len(verts))]
         rng.shuffle(labels)
-        part_of = dict(zip(verts, labels))
-        dirty = set(verts)
+        part = [0] * g.n
+        for v, p in zip(verts, labels):
+            part[v] = p
+        tally = [[0] * r for _ in range(g.n)]
+        if r == 3:  # the same rule unrolled for pairs, the common case
+            for a, b, c in edges:
+                pa, pb, pc = part[a], part[b], part[c]
+                if pb != pc:
+                    tally[a][3 - pb - pc] += 1
+                if pa != pc:
+                    tally[b][3 - pa - pc] += 1
+                if pa != pb:
+                    tally[c][3 - pa - pb] += 1
+        else:
+            for e in edges:
+                for u, c in _credits(e, [part[u] for u in e], r):
+                    tally[u][c] += 1
         # climb to a local maximum even after clearing the target: partite
         # edges are scarce at higher r and downstream stages want every one
-        while dirty:
+        moved = True
+        while moved:
+            moved = False
             for v in verts:
-                if v not in dirty:
+                row = tally[v]
+                best, p = max(row), part[v]
+                if best <= row[p]:
                     continue
-                dirty.discard(v)
-                tally = [0] * r
-                if r == 3:  # the same rule unrolled for pairs, the common case
-                    for a, b in others[v]:
-                        pa, pb = part_of[a], part_of[b]
-                        if pa != pb:
-                            tally[full - pa - pb] += 1
+                q = row.index(best)
+                moved = True
+                if r == 3:
+                    for eid in incident[v]:
+                        x, y, z = edges[eid]
+                        a, b = (y, z) if x == v else (x, z) if y == v else (x, y)
+                        pa, pb = part[a], part[b]
+                        ta, tb = tally[a], tally[b]
+                        if pb != p:
+                            ta[3 - p - pb] -= 1
+                        if pb != q:
+                            ta[3 - q - pb] += 1
+                        if pa != p:
+                            tb[3 - p - pa] -= 1
+                        if pa != q:
+                            tb[3 - q - pa] += 1
                 else:
-                    for rest in others[v]:
-                        classes = {part_of[u] for u in rest}
-                        if len(classes) == r - 1:
-                            tally[full - sum(classes)] += 1
-                best = max(range(r), key=tally.__getitem__)
-                if tally[best] > tally[part_of[v]]:
-                    part_of[v] = best
-                    for rest in others[v]:
-                        dirty.update(rest)
-        t = tuple(e for e in g.edges if len({part_of[v] for v in e}) == r)
+                    for eid in incident[v]:
+                        e = edges[eid]
+                        classes = [part[u] for u in e]
+                        for u, c in _credits(e, classes, r):
+                            if u != v:
+                                tally[u][c] -= 1
+                        classes[e.index(v)] = q
+                        for u, c in _credits(e, classes, r):
+                            if u != v:
+                                tally[u][c] += 1
+                part[v] = q
+        if r == 3:
+            t = tuple(e for e in edges
+                      if part[e[0]] != part[e[1]] != part[e[2]] != part[e[0]])
+        else:
+            t = tuple(e for e in edges if len({part[v] for v in e}) == r)
+        if sum(tally[v][part[v]] for v in verts) != r * len(t):
+            raise InvariantViolation("partite tallies disagree with the transversal count")
         if len(t) >= target:
-            parts = tuple(frozenset(v for v, p in part_of.items() if p == i) for i in range(r))
+            parts = tuple(frozenset(v for v in verts if part[v] == i) for i in range(r))
             return g._cut(t, frozenset(v for e in t for v in e)), RPartition(parts)
     raise RetriesExhausted("r-partite reduction below the r!/r^r guarantee", RESTARTS)
 

@@ -73,6 +73,18 @@ def test_build_rejects_bad_edges():
         build(3, 3, [(0, 1, 5)])
 
 
+@pytest.mark.parametrize("stray", [5, 10, -3])
+def test_vertex_sets_outside_the_range_are_rejected(stray):
+    with pytest.raises(VertexOutOfRange) as err:
+        LinearHypergraph(5, 3, [(0, 1, 2)], vertices=[0, 1, 2, stray])
+    assert err.value.vertex == stray
+    g = LinearHypergraph(5, 3, [(0, 1, 2)], vertices=[0, 1, 2, 4])
+    assert g.vertices == {0, 1, 2, 4}
+    with pytest.raises(VertexOutOfRange) as err:
+        g.induced([0, 1, stray])
+    assert err.value.vertex == stray
+
+
 def test_pair_index_consistent(fano):
     for e in fano.edges:
         for a in range(3):
@@ -277,7 +289,7 @@ def test_cuts_skip_the_validating_constructor(fano, monkeypatch):
 @st.composite
 def cut_cases(draw):
     """A thinned greedy packing at r in {3, 4, 5}; a vertex subset that may
-    hold non-vertices; and some of its edges, in any vertex order, repeats allowed."""
+    hold ids outside 0..n-1; and some of its edges, in any vertex order, repeats allowed."""
     r = draw(st.sampled_from([3, 4, 5]))
     n = draw(st.integers(min_value=r, max_value=20))
     base = greedy_partial_steiner(n, r, seed=draw(st.integers(0, 10**6)), effort=2.0)
@@ -305,8 +317,15 @@ def assert_same_graph(got, want):
 @given(cut_cases())
 def test_cuts_match_the_validating_constructor(case):
     g, subset, picked = case
-    sub = g.induced(subset)
     kept = [e for e in g.edges if set(e) <= subset]
+    stray = {v for v in subset if not 0 <= v < g.n}
+    if stray:
+        for cut in (g.induced, lambda s: LinearHypergraph(g.n, g.r, kept, vertices=s)):
+            with pytest.raises(VertexOutOfRange) as err:
+                cut(subset)
+            assert err.value.vertex == min(stray)
+        subset -= stray
+    sub = g.induced(subset)
     assert_same_graph(sub, LinearHypergraph(g.n, g.r, kept, vertices=subset))
     assert_same_graph(
         g.edge_induced(picked),

@@ -502,14 +502,17 @@ def naive_partite(g, seed=0, restarts=64):
 
 @st.composite
 def partite_cases(draw):
-    """A thinned greedy packing at r in {3, 4, 5} with up to three isolated
-    vertices, and a call seed."""
-    r = draw(st.sampled_from([3, 4, 5]))
+    """A thinned greedy packing at r in {2, 3, 4, 5} with up to three
+    isolated vertices, induced on a proper vertex subset half the time, so
+    that some ids below n are not vertices, and a call seed."""
+    r = draw(st.sampled_from([2, 3, 4, 5]))
     n = draw(st.integers(min_value=r, max_value=24))
     base = greedy_partial_steiner(n, r, seed=draw(st.integers(0, 10**6)), effort=2.0)
     keep = draw(st.lists(st.booleans(), min_size=base.num_edges(), max_size=base.num_edges()))
     g = build(n + draw(st.integers(min_value=0, max_value=3)), r,
               [e for e, k in zip(base.edges, keep) if k])
+    if draw(st.booleans()):
+        g = g.induced(g.vertices - draw(st.sets(st.integers(0, g.n - 1), min_size=1)))
     return g, draw(st.integers(0, 10**6))
 
 
