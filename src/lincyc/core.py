@@ -5,10 +5,12 @@ deduplicated and ordered lexicographically, so the same edge set always
 produces the same object.  Graphs from outside the package are validated
 (uniformity, range, linearity): the constructor, `build`, `from_text` and
 `from_json`/`from_json_obj` all go through it, and so does `plant_cycles`.
-Everything else is assembled by `_assembled`, which only builds the indexes:
+Everything else is assembled by `_assembled`, which only sets the fields:
 `induced` and `edge_induced` cut subgraphs, linear too, from a validated
 parent, and the packing and sparsifying generators assemble their output from
-their own invariants.  All objects are immutable after construction.
+their own invariants.  Either way the two indexes, ``incident`` and
+``edge_set``, are built on their first read, since most graphs never read
+them.  All objects are immutable after construction.
 """
 
 from __future__ import annotations
@@ -50,6 +52,10 @@ class LinearHypergraph:
     vertices the caller keeps around); induced subgraphs restrict it while
     leaving the ambient count ``n`` and all vertex ids untouched, so witnesses
     found in a subgraph are witnesses of the original graph verbatim.
+
+    ``incident`` (vertex -> ids of its edges) and ``edge_set`` stay unset
+    until first read; `__getattr__` then fills the slot, so later reads find
+    it and never call `__getattr__` again.
     """
 
     __slots__ = ("n", "r", "edges", "vertices", "incident", "edge_set")
@@ -76,11 +82,21 @@ class LinearHypergraph:
             for p in combinations(e, 2):
                 if first_edge.setdefault(p, eid) != eid:
                     raise DuplicatePair(p, first_edge[p], eid)
-        self._index()
 
-    def _index(self) -> None:
-        self.incident = {v: tuple(ids) for v, ids in _incidence(self.edges).items()}
-        self.edge_set = frozenset(self.edges)
+    def __getattr__(self, name):
+        # Reached only when normal lookup fails, as it does for an unset slot.
+        if name == "incident":
+            self.incident = {v: tuple(ids) for v, ids in _incidence(self.edges).items()}
+            return self.incident
+        if name == "edge_set":
+            self.edge_set = frozenset(self.edges)
+            return self.edge_set
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def __reduce__(self):
+        # Pickle and copy the four fields alone; the copy rebuilds its indexes
+        # when read, like any assembled graph.
+        return _assembled, (self.n, self.r, self.edges, self.vertices)
 
     # -- basic queries ------------------------------------------------------
 
@@ -98,7 +114,8 @@ class LinearHypergraph:
     def min_degree(self) -> int:
         if not self.vertices:
             return 0
-        return min(self.degree(v) for v in self.vertices)
+        incident = self.incident
+        return min(len(incident.get(v, ())) for v in self.vertices)
 
     def edge_through(self, u: int, v: int) -> Optional[Edge]:
         """The edge holding both u and v, or None; O(deg(u) r)."""
@@ -115,8 +132,9 @@ class LinearHypergraph:
 
     def edge_induced(self, edges: Iterable[Iterable[int]]) -> "LinearHypergraph":
         kept = [tuple(sorted(e)) for e in edges]
+        edge_set = self.edge_set
         for e in kept:
-            if e not in self.edge_set:
+            if e not in edge_set:
                 raise InvalidWitness(f"edge {e} is not an edge of the graph")
         verts = frozenset(v for e in kept for v in e)
         return self._cut(tuple(sorted(dict.fromkeys(kept))), verts)
@@ -212,10 +230,10 @@ def _assembled(n: int, r: int, edges: tuple[Edge, ...],
                vertices: frozenset[int]) -> LinearHypergraph:
     """The graph on edges that the caller guarantees are sorted r-tuples in
     sorted order, distinct, pairwise linear and inside ``vertices``, a subset
-    of range(n).  Nothing is checked; only the indexes are built."""
+    of range(n).  Nothing is checked and nothing is built: the indexes wait
+    for their first read."""
     g = LinearHypergraph.__new__(LinearHypergraph)
     g.n, g.r, g.edges, g.vertices = n, r, edges, vertices
-    g._index()
     return g
 
 

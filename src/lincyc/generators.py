@@ -60,15 +60,27 @@ def greedy_partial_steiner(
 ) -> LinearHypergraph:
     """Maximal-at-desk-scale linear r-graph: every pair of vertices lies in at
     most one edge.  ``effort`` scales the rejection-sampling budget in units
-    of C(n,2) samples."""
+    of C(n,2) samples.
+
+    A used pair u < v is kept as the key u * n + v, in a byte table of n * n
+    entries or in a set; both give the same edges.  The table rule (see
+    `_uses_table`): use the table when the maximality sweep runs, which
+    implies n <= 1000 and so a table of at most 1 MB, or when r <= 7 and
+    n * n <= 16 * C(r,2) * budget.  A set spends over 50 bytes a key (its
+    slot and the int object), and each accepted draw stores C(r,2) keys, so
+    at that budget the set outgrows the table once about a third of the
+    draws are accepted, which holds up to r = 7.  From r = 8 on, rejected
+    draws can keep the set smaller, so the set stays there.  At r = 3 the
+    rule means effort >= 1/24."""
     if r < 2:
         raise NonUniformEdge((), r)
     if n < r:
         raise Infeasible(f"n={n} < r={r}")
-    # A pair u < v is stored as the key u * n + v.
-    used_pairs: set[int] = set()
-    edges: list[tuple[int, ...]] = []
     budget = max(1, int(effort * n * (n - 1) / 2))
+    sweep = math.comb(n, r) <= SWEEP_LIMIT
+    # Both containers read used[k] and mark used[k] = 1.
+    used = bytearray(n * n) if _uses_table(n, r, budget, sweep) else _PairSet()
+    edges: list[tuple[int, ...]] = []
     # Each draw is CPython's randrange(n) inlined: take n.bit_length() random
     # bits and redraw while the value is >= n.  This consumes the same stream
     # as randrange(n), so the edges match the plain sampler's;
@@ -77,7 +89,6 @@ def greedy_partial_steiner(
     bits = n.bit_length()
     if r == 3:
         # unrolled: this loop dominates large builds
-        add_pair = used_pairs.add
         for _ in range(budget):
             a = getrandbits(bits)
             while a >= n:
@@ -97,19 +108,18 @@ def greedy_partial_steiner(
                 if a > b:
                     a, b = b, a
             ab = a * n + b
-            if ab in used_pairs:
+            if used[ab]:
                 continue
             ac = a * n + c
-            if ac in used_pairs:
+            if used[ac]:
                 continue
             bc = b * n + c
-            if bc in used_pairs:
+            if used[bc]:
                 continue
-            add_pair(ab)
-            add_pair(ac)
-            add_pair(bc)
+            used[ab] = used[ac] = used[bc] = 1
             edges.append((a, b, c))
     else:
+        is_used = used.__getitem__
         for _ in range(budget):
             cand = set()
             for _ in range(r):
@@ -121,25 +131,41 @@ def greedy_partial_steiner(
                 continue
             cs = sorted(cand)
             keys = [cs[i] * n + cs[j] for i in range(r - 1) for j in range(i + 1, r)]
-            if not used_pairs.isdisjoint(keys):
+            if any(map(is_used, keys)):
                 continue
-            used_pairs.update(keys)
+            for k in keys:
+                used[k] = 1
             edges.append(tuple(cs))
 
-    if math.comb(n, r) <= SWEEP_LIMIT:
-        _maximality_sweep(n, r, used_pairs, edges)
+    if sweep:
+        _maximality_sweep(n, r, used, edges)
 
     # Every edge is a sorted r-tuple of distinct vertices of range(n), and
-    # used_pairs rejected each reused pair, so the edges are distinct and
-    # linear: sorting them is all the constructor would add.
+    # used rejected each reused pair, so the edges are distinct and linear:
+    # sorting them is all the constructor would add.
     return _assembled(n, r, tuple(sorted(edges)), frozenset(range(n)))
 
 
+def _uses_table(n: int, r: int, budget: int, sweep: bool) -> bool:
+    """greedy_partial_steiner's table rule."""
+    return sweep or (r <= 7 and n * n <= 16 * math.comb(r, 2) * budget)
+
+
+class _PairSet(set):
+    """The used pairs as a set, read and marked like the byte table."""
+
+    __slots__ = ()
+    __getitem__ = set.__contains__
+
+    def __setitem__(self, key: int, _mark: int) -> None:
+        self.add(key)
+
+
 def _maximality_sweep(
-    n: int, r: int, used_pairs: set[int], edges: list[tuple[int, ...]]
+    n: int, r: int, used: bytearray, edges: list[tuple[int, ...]]
 ) -> None:
     """Append, in lexicographic order, every r-set of range(n) whose pairs are
-    all still free, as a scan of combinations(range(n), r) would.
+    all still free in ``used``, as a scan of combinations(range(n), r) would.
 
     The scan is a backtrack over prefixes that drops a prefix as soon as one
     of its pairs is used.  That loses nothing: used pairs only accumulate, so
@@ -153,7 +179,7 @@ def _maximality_sweep(
     tries = [iter(range(n - r + 1))]  # the vertices left to try, one iterator per slot
     while tries:
         for v in tries[-1]:
-            if not any(row + v in used_pairs for row in rows):
+            if not any(used[row + v] for row in rows):
                 break
         else:
             tries.pop()
@@ -168,7 +194,8 @@ def _maximality_sweep(
             tries.append(iter(range(v + 1, n - r + j + 2)))
             continue
         edge = (*prefix, v)
-        used_pairs.update([rows[a] + edge[b] for a, b in pairs])
+        for a, b in pairs:
+            used[rows[a] + edge[b]] = 1
         edges.append(edge)
         del prefix[1:], rows[1:], tries[2:]
 

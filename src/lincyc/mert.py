@@ -47,7 +47,8 @@ class Mert:
     f_edges: tuple[tuple[Edge, ...], ...]
 
     def segment_edges(self, i: int) -> list[tuple[int, ...]]:
-        return [self.graph.edges[eid] for eid in self.segments[i]]
+        edges = self.graph.edges
+        return [edges[eid] for eid in self.segments[i]]
 
     def segment_vertices(self, i: int) -> frozenset[int]:
         if i == 0:
@@ -108,7 +109,8 @@ def build_mert(g: LinearHypergraph, partition: RPartition, x: int) -> Mert:
     if pm.get(x) != 0:
         raise PreconditionFailed(f"root {x} must lie in the first part")
 
-    star = sorted(g.incident.get(x, ()))
+    edges, incident = g.edges, g.incident
+    star = sorted(incident.get(x, ()))
     segments: list[tuple[int, ...]] = [tuple(), tuple(star)]
     first = {x: 0}
     levels: list[frozenset[int]] = [frozenset({x})]
@@ -121,9 +123,9 @@ def build_mert(g: LinearHypergraph, partition: RPartition, x: int) -> Mert:
     # current segment
     pending: dict[int, tuple[int, tuple[int, ...]]] = {}
     for eid in star:
-        for v in g.edges[eid]:
+        for v in edges[eid]:
             if v != x and v not in pending:
-                pending[v] = (x, g.edges[eid])
+                pending[v] = (x, edges[eid])
 
     i = 1
     while True:
@@ -132,8 +134,8 @@ def build_mert(g: LinearHypergraph, partition: RPartition, x: int) -> Mert:
         attach = sorted(  # (edge id, attachment vertex)
             (eid, v)
             for v in pending
-            for eid in g.incident[v]
-            if len(first.keys() & g.edges[eid]) == 1
+            for eid in incident[v]
+            if len(first.keys() & edges[eid]) == 1
         )
         # a fresh vertex shares an edge with a level-(i-1) vertex, so no
         # candidate lies in that level's class
@@ -162,14 +164,14 @@ def build_mert(g: LinearHypergraph, partition: RPartition, x: int) -> Mert:
         next_ids: list[int] = []
         new_pending: dict[int, tuple[int, tuple[int, ...]]] = {}
         for eid, v in groups[part]:
-            residue = tuple(sorted(u for u in g.edges[eid] if u != v))
+            residue = tuple(sorted(u for u in edges[eid] if u != v))
             if any(u in used for u in residue):
                 continue
             used.update(residue)
             m_list.append(residue)
             next_ids.append(eid)
             for u in residue:
-                new_pending[u] = (v, g.edges[eid])
+                new_pending[u] = (v, edges[eid])
         matchings[i] = tuple(m_list)
         segments.append(tuple(next_ids))
         pending = new_pending
@@ -184,7 +186,7 @@ def build_mert(g: LinearHypergraph, partition: RPartition, x: int) -> Mert:
     # index i + 2, past every segment, so neither test counts it.
     d_edges: list[list[Edge]] = [[] for _ in range(i + 1)]
     f_edges: list[list[Edge]] = [[] for _ in range(i + 1)]
-    for e in g.edges:
+    for e in edges:
         idx = [first.get(v, i + 2) for v in e]
         lo = min(idx)
         if lo > i:

@@ -221,10 +221,11 @@ def bfs_layers(g: LinearHypergraph, x: int) -> BfsLayers:
     parent_vertex: dict[int, int] = {}
     parent_edge: dict[int, tuple[int, ...]] = {}
     q = deque([x])
+    edges, incident = g.edges, g.incident
     while q:
         u = q.popleft()
-        for eid in g.incident.get(u, ()):
-            e = g.edges[eid]
+        for eid in incident.get(u, ()):
+            e = edges[eid]
             for w in e:
                 if w not in dist:
                     dist[w] = dist[u] + 1
@@ -378,7 +379,8 @@ def max_degree_root(g: LinearHypergraph) -> int:
     degree, ties to the lowest id."""
     if not g.vertices:
         raise EmptyCore("no vertex to root at: the graph is empty")
-    degs = {v: g.degree(v) for v in g.vertices}
+    incident = g.incident
+    degs = {v: len(incident.get(v, ())) for v in g.vertices}
     return min(g.vertices, key=lambda v: (-degs[v], v))
 
 

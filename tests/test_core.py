@@ -3,7 +3,9 @@ serialization round-trips."""
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,7 +31,7 @@ from lincyc import (
     verify_cycle,
     verify_path,
 )
-from lincyc.core import MAX_PARSED_VERTICES, _incidence
+from lincyc.core import MAX_PARSED_VERTICES, _assembled, _incidence
 from conftest import FANO_LINES, planted_c4
 
 
@@ -338,6 +340,80 @@ def test_cuts_match_the_validating_constructor(case):
             for v in ids:
                 want = next((e for e in h.edges if u in e and v in e and u != v), None)
                 assert h.edge_through(u, v) == want
+
+
+# -- indexes built on first read --------------------------------------------------
+#
+# incident and edge_set stay unset until first read, when __getattr__ fills the
+# slot.  The slot descriptor's __get__ bypasses __getattr__, so it tells an
+# unset slot from a set one without filling it.
+
+INDEXES = ("incident", "edge_set")
+
+FRESH_GRAPHS = {
+    "constructor": lambda: build(7, 3, FANO_LINES),
+    "assembled": lambda: _assembled(7, 3, tuple(sorted(FANO_LINES)), frozenset(range(7))),
+    "induced": lambda: build(7, 3, FANO_LINES).induced({0, 1, 2, 3, 4, 5}),
+    "edge_induced": lambda: build(7, 3, FANO_LINES).edge_induced(FANO_LINES[:3]),
+    "packing": lambda: greedy_partial_steiner(40, 3, seed=5, effort=1.0),
+}
+
+
+def is_built(g, name):
+    try:
+        getattr(LinearHypergraph, name).__get__(g)
+    except AttributeError:
+        return False
+    return True
+
+
+def assert_eager_indexes(g):
+    want = {v: tuple(ids) for v, ids in _incidence(g.edges).items()}
+    assert list(g.incident.items()) == list(want.items())
+    assert g.edge_set == frozenset(g.edges)
+
+
+@pytest.mark.parametrize("kind", FRESH_GRAPHS)
+def test_indexes_are_built_on_their_first_read(kind):
+    g = FRESH_GRAPHS[kind]()
+    assert not any(is_built(g, name) for name in INDEXES)
+    incident = g.incident
+    assert is_built(g, "incident") and not is_built(g, "edge_set")
+    assert g.incident is incident
+    edge_set = g.edge_set
+    assert is_built(g, "edge_set") and g.edge_set is edge_set
+    assert_eager_indexes(g)
+
+
+@pytest.mark.parametrize("kind", FRESH_GRAPHS)
+def test_other_missing_attributes_stay_missing(kind):
+    g = FRESH_GRAPHS[kind]()
+    assert not hasattr(g, "nope")
+    with pytest.raises(AttributeError, match="nope"):
+        g.nope
+    assert not any(is_built(g, name) for name in INDEXES)
+
+
+@pytest.mark.parametrize("kind", FRESH_GRAPHS)
+@pytest.mark.parametrize("read_first", [False, True])
+def test_pickle_and_deepcopy_round_trip(kind, read_first):
+    g = FRESH_GRAPHS[kind]()
+    if read_first:
+        g.incident, g.edge_set
+    for twin in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)):
+        assert twin == g and twin is not g
+        assert (twin.n, twin.r, twin.edges, twin.vertices) == (g.n, g.r, g.edges, g.vertices)
+        assert not any(is_built(twin, name) for name in INDEXES)
+        assert_eager_indexes(twin)
+    assert all(is_built(g, name) for name in INDEXES) == read_first
+
+
+@pytest.mark.parametrize("kind", FRESH_GRAPHS)
+def test_equality_and_hashing_read_no_index(kind):
+    g, h = FRESH_GRAPHS[kind](), FRESH_GRAPHS[kind]()
+    assert g == h and hash(g) == hash(h) and len({g, h}) == 1
+    assert g != build(7, 3, [(0, 1, 2)])
+    assert not any(is_built(x, name) for x in (g, h) for name in INDEXES)
 
 
 # -- cycle families ---------------------------------------------------------------

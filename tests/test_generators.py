@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -26,6 +27,7 @@ from lincyc import (
     plant_cycles,
     verify_cycle,
 )
+from lincyc import generators
 from lincyc.generators import SWEEP_LIMIT
 
 
@@ -154,6 +156,96 @@ def test_sweep_runs_past_the_recursion_limit(r):
     # The one draw repeats a vertex, so the sweep takes the first r-set,
     # which blocks every other.  The plain scan is too slow to compare here.
     assert greedy_partial_steiner(1000, r, seed=0, effort=1e-6).edges == (tuple(range(r)),)
+
+
+# -- the table rule --------------------------------------------------------------------
+#
+# greedy_partial_steiner keeps its used pairs in a byte table or in a set, by
+# the table rule in its docstring.  Both containers must give the plain
+# sampler's edges, and the table may replace only a set that would be larger.
+
+# sampling-only sizes: past SWEEP_EDGE, so only the budget picks the container
+RULE_SIZES = [(146, 3), (400, 3), (61, 4), (200, 4)]
+
+
+def table_budget(n, r):
+    """The least budget at which the rule picks the table for a sampling-only n."""
+    return -(-n * n // (16 * math.comb(r, 2)))
+
+
+def effort_for(n, budget):
+    effort = (budget + 0.5) / (n * (n - 1) / 2)
+    assert max(1, int(effort * n * (n - 1) / 2)) == budget
+    return effort
+
+
+def spy_on_the_rule(monkeypatch):
+    rule, chosen = generators._uses_table, []
+
+    def spy(*args):
+        chosen.append(rule(*args))
+        return chosen[-1]
+
+    monkeypatch.setattr(generators, "_uses_table", spy)
+    return chosen
+
+
+@pytest.mark.parametrize("side", ["set", "table"])
+@pytest.mark.parametrize("n, r", RULE_SIZES)
+def test_packing_matches_the_plain_sampler_on_both_sides_of_the_table_rule(
+    n, r, side, monkeypatch
+):
+    assert n > SWEEP_EDGE[r]
+    effort = effort_for(n, table_budget(n, r) - (side == "set"))
+    chosen = spy_on_the_rule(monkeypatch)
+    for seed in range(3):
+        case = (n, r, seed, effort)
+        assert greedy_partial_steiner(*case).edges == naive_greedy_partial_steiner(*case).edges
+    assert chosen == [side == "table"] * 3
+
+
+@pytest.mark.parametrize("case", [
+    (146, 3, 0, 0.02), (400, 3, 1, 0.3), (61, 4, 2, 1.0), (40, 5, 3, 0.5),  # sampling only
+    (145, 3, 4, 0.01), (60, 4, 5, 1.0), (30, 27, 6, 2.0),  # swept
+])
+def test_both_containers_give_the_same_packing(case, monkeypatch):
+    packings = []
+    for table in (False, True):
+        monkeypatch.setattr(generators, "_uses_table", lambda *args: table)
+        packings.append(greedy_partial_steiner(*case).edges)
+    assert packings[0] == packings[1]
+
+
+def set_bytes(keys):
+    return sys.getsizeof(keys) + sum(sys.getsizeof(k) for k in keys if k > 256)
+
+
+@pytest.mark.parametrize("n, r", RULE_SIZES + [(300, 5), (300, 7)])
+def test_the_table_replaces_only_a_larger_set(n, r, monkeypatch):
+    # at the least budget that picks the table, the sampler's own set
+    # would already take more than the table's n * n bytes
+    sets = []
+
+    class RecordedPairSet(generators._PairSet):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            sets.append(self)
+
+    monkeypatch.setattr(generators, "_uses_table", lambda *args: False)
+    monkeypatch.setattr(generators, "_PairSet", RecordedPairSet)
+    for seed in range(3):
+        greedy_partial_steiner(n, r, seed, effort_for(n, table_budget(n, r)))
+        assert set_bytes(sets[-1]) > n * n
+
+
+def test_the_table_rule_keeps_the_set_for_a_huge_n_or_a_large_r():
+    # the rule alone: a table of 10**12 bytes is never allocated here
+    assert not generators._uses_table(10**6, 3, 10**6, False)
+    assert generators._uses_table(10**6, 3, table_budget(10**6, 3), False)
+    assert not generators._uses_table(300, 8, 10**9, False)
+    assert generators._uses_table(30, 27, 1, True)
 
 
 # -- generated graphs are assembled, not validated ------------------------------------
