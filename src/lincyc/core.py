@@ -454,8 +454,9 @@ def _check_sequence(g: LinearHypergraph, edges: Sequence[Iterable[int]],
     es = tuple(tuple(sorted(e)) for e in edges)
     if len(set(es)) != len(es):
         raise InvalidWitness("repeated edge in witness")
+    edge_set = g.edge_set
     for idx, e in enumerate(es):
-        if e not in g.edge_set:
+        if e not in edge_set:
             raise InvalidWitness(f"edge #{idx} {e} is not an edge of the graph")
     t = len(es)
     for a in range(t):

@@ -38,7 +38,7 @@ from .errors import (
     TheoremContradictionTrace,
 )
 from .mert import Mert, anchor_and_label, build_mert, expand_tree_path
-from .oracle import enumerate_cycles
+from .oracle import _closures
 from .pathfinder import _components, anchored_subgraph, pan_connected, rainbow_special_path
 from .reductions import (
     bfs_layers,
@@ -588,7 +588,8 @@ C2K_BUDGET = 5 * 10**7
 
 def find_c2k(g: LinearHypergraph, k: int, seed: int = 0) -> LinearCycle:
     """A linear cycle of length exactly 2k: via the even pipeline when its
-    interval covers 2k, else by oracle search within C2K_BUDGET expansions.
+    interval covers 2k, else the oracle's first witness of length 2k, found
+    within C2K_BUDGET expansions; the search stops there.
 
     NotFound means no such cycle exists, unless the search ran out of budget:
     then the NotFound says the search is incomplete and chains the
@@ -600,16 +601,12 @@ def find_c2k(g: LinearHypergraph, k: int, seed: int = 0) -> LinearCycle:
         for c in report.outcome.cycles:
             if c.length == 2 * k:
                 return c
-    witnesses: list[LinearCycle] = []
-    stopped = None
+    edges = g.edges
     try:
-        enumerate_cycles(g, 2 * k, budget=C2K_BUDGET, witnesses=witnesses)
-    except BudgetExceeded as err:
-        stopped = err
-    for c in witnesses:
-        if c.length == 2 * k:
-            return verify_cycle(g, c.edges)
-    if stopped is not None:
+        for chain, eid in _closures(g, 2 * k, C2K_BUDGET):
+            if len(chain) + 1 == 2 * k:
+                return verify_cycle(g, tuple(edges[i] for i in chain) + (edges[eid],))
+    except BudgetExceeded as stopped:
         raise NotFound(
             f"search for a linear cycle of length {2 * k} stopped at its budget of "
             f"{C2K_BUDGET} expansions; the search is incomplete"

@@ -10,13 +10,19 @@ Closing edges are looked up, not scanned for.  A path from the first edge's
 vertex a to its pivot closes only through an edge f with f ∩ used == {pivot,
 a}; as pivot != a and the graph is linear, f is the one edge holding both.
 So each (first edge, a) gets a map from vertex to the edge at a holding it,
-built from the edges at a, and a popped state makes one lookup.  The scan of
-the pivot's edges then only extends the path, and at the last depth, where no
-extension fits, it is skipped.  Each state still closes at most one cycle and
-is pushed and popped exactly as before, with new pivots taken in the order of
-one set per edge, so witnesses come out in the same order and a budget stops
-at the same node with the same partial spectrum.  ``high_girth_sparsify``
-relies on that order: it deletes edges cycle by cycle.
+built from the edges at a, and a state makes one lookup.
+
+Subtrees that cannot close are skipped.  A closing edge holds a and its id
+is above the second edge's, so a first edge with no later edge at a grows no
+path, and no second edge at or above the last edge at a is pushed.  States
+at the last depth are not pushed either: they would be popped straight after
+their parent, last pushed first, and could only close, so the parent tries
+them in place in that order, one expansion each.  Every other state is
+pushed and popped as in a plain DFS, with new pivots taken in the order of
+one set per edge, so a complete run lists its witnesses in the same order.
+``high_girth_sparsify`` relies on that order: it deletes edges cycle by
+cycle.  Skipped states spend no budget, so under any budget the witnesses
+are a prefix of the complete list, at least as long as without the skips.
 """
 
 from __future__ import annotations
@@ -53,26 +59,23 @@ class Spectrum:
         return json.dumps(self.to_json_obj(), sort_keys=True)
 
 
-def enumerate_cycles(
-    g: LinearHypergraph,
-    max_len: int,
-    budget: int = DEFAULT_BUDGET,
-    count: bool = False,
-    witnesses: Optional[list[LinearCycle]] = None,
-) -> Spectrum:
-    if max_len < 3:
-        raise PreconditionFailed("max_len must be at least 3")
-    lengths: set[int] = set()
-    counts: dict[int, int] = {}
-    expansions = 0
-
+def _closures(g: LinearHypergraph, max_len: int, budget: int):
+    """Yield ``(chain, eid)`` for each cycle of length <= max_len, in witness
+    order: the edge ids ``chain`` in path order, closed by edge ``eid``.
+    Raises BudgetExceeded at the first expansion past ``budget``."""
     edges = g.edges
     incident = g.incident
     sets = [set(e) for e in edges]  # one per edge, so new pivots keep their order
+    backward = [tuple(f)[::-1] for f in sets]  # the order leaves are popped in
+    expansions = 0
     for start, e1 in enumerate(edges):
         e1_set = sets[start]
         # a = closing pivot on the first edge, w = pivot to extend from
         for a in e1:
+            # every closing edge holds a and comes after chain[1] > start
+            last = incident[a][-1]
+            if last <= start:
+                continue
             # v -> the edge after start holding a and v: the one edge that
             # can close a chain whose pivot is v
             closer = {v: eid for eid in incident[a] if eid > start for v in edges[eid]}
@@ -84,36 +87,79 @@ def enumerate_cycles(
                     pivot, chain, used = stack.pop()
                     expansions += 1
                     if expansions > budget:
-                        raise BudgetExceeded(
-                            f"node budget {budget} exceeded",
-                            partial=Spectrum(max_len, lengths, counts, complete=False),
-                        )
+                        raise BudgetExceeded(f"node budget {budget} exceeded")
                     depth = len(chain)
+                    # a second edge at or above last leaves no closing edge
+                    cap = last if depth == 1 else len(edges)
                     eid = closer.get(pivot)
                     # closes iff it meets the chain only in pivot and a;
                     # canonical: second edge id < last id
                     if (eid is not None and depth >= 2 and chain[1] < eid
                             and len(sets[eid] & used) == 2):
-                        t = depth + 1
-                        lengths.add(t)
-                        counts[t] = counts.get(t, 0) + 1
-                        if witnesses is not None:
-                            witnesses.append(
-                                LinearCycle(tuple(edges[i] for i in chain) + (edges[eid],))
-                            )
-                    if depth + 1 >= max_len:
-                        continue  # an extension could only close past max_len
-                    for eid in incident[pivot]:
+                        yield chain, eid
+                    if depth + 2 < max_len:
+                        for eid in incident[pivot]:
+                            if eid <= start:
+                                continue
+                            if eid >= cap:
+                                break
+                            f = sets[eid]
+                            if len(f & used) != 1:
+                                continue  # f must meet the chain in pivot alone
+                            grown = chain + [eid]
+                            joined = used | f
+                            for new_pivot in f:
+                                if new_pivot != pivot:
+                                    stack.append((new_pivot, grown, joined))
+                        continue
+                    # The children sit at the last depth: they would be popped
+                    # next, last pushed first, and could only close.  Try them
+                    # here in that order.  A child (eid, v) closes through
+                    # c = closer[v] iff c meets the chain in a alone: c holds
+                    # a, not pivot, and meets f in v only, as g is linear.
+                    for eid in reversed(incident[pivot]):
                         if eid <= start:
+                            break
+                        if eid >= cap or len(sets[eid] & used) != 1:
                             continue
-                        f = sets[eid]
-                        if len(f & used) != 1:
-                            continue  # f must meet the chain in pivot alone
-                        grown = chain + [eid]
-                        joined = used | f
-                        for new_pivot in f:
-                            if new_pivot != pivot:
-                                stack.append((new_pivot, grown, joined))
+                        second = chain[1] if depth >= 2 else eid
+                        for v in backward[eid]:
+                            if v == pivot:
+                                continue
+                            expansions += 1
+                            if expansions > budget:
+                                raise BudgetExceeded(f"node budget {budget} exceeded")
+                            c = closer.get(v)
+                            if (c is not None and second < c
+                                    and len(sets[c] & used) == 1):
+                                yield chain + [eid], c
+
+
+def enumerate_cycles(
+    g: LinearHypergraph,
+    max_len: int,
+    budget: int = DEFAULT_BUDGET,
+    count: bool = False,
+    witnesses: Optional[list[LinearCycle]] = None,
+) -> Spectrum:
+    """Lengths of the linear cycles of length <= max_len, each cycle appended
+    to ``witnesses`` in the order above.  Past ``budget`` expansions it raises
+    BudgetExceeded carrying the partial spectrum."""
+    if max_len < 3:
+        raise PreconditionFailed("max_len must be at least 3")
+    lengths: set[int] = set()
+    counts: dict[int, int] = {}
+    edges = g.edges
+    try:
+        for chain, eid in _closures(g, max_len, budget):
+            t = len(chain) + 1
+            lengths.add(t)
+            counts[t] = counts.get(t, 0) + 1
+            if witnesses is not None:
+                witnesses.append(LinearCycle(tuple(edges[i] for i in chain) + (edges[eid],)))
+    except BudgetExceeded as err:
+        err.partial = Spectrum(max_len, lengths, counts, complete=False)
+        raise
     return Spectrum(max_len, lengths, counts if count else {}, complete=True)
 
 

@@ -247,7 +247,8 @@ def path_with_part(
     bound delta(F) >= r*k guarantees the greedy extension never gets stuck
     before the target length."""
     a = frozenset(anchors)
-    for e in f.edges:
+    edges, incident = f.edges, f.incident
+    for e in edges:
         if len(a.intersection(e)) != 1:
             raise PreconditionFailed(f"edge {e} holds {len(a.intersection(e))} anchors")
     if enforce and f.min_degree() < f.r * k:
@@ -264,8 +265,8 @@ def path_with_part(
         connector = set(edge) & set(other) if other else set()
         on_path = {v for e in path for v in e}
         for v in sorted(set(edge) - a - connector):
-            for eid in f.incident.get(v, ()):
-                cand = f.edges[eid]
+            for eid in incident.get(v, ()):
+                cand = edges[eid]
                 if cand in path:
                     continue
                 if set(cand) & on_path != {v}:
@@ -277,7 +278,7 @@ def path_with_part(
                 return True
         return False
 
-    for start in f.edges:
+    for start in edges:
         path = [start]
         while len(path) < target:
             if not extend(path, True) and not extend(path, False):

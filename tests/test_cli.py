@@ -172,7 +172,8 @@ def test_find_exact_length_four(planted_file, capsys):
 def test_find_exact_length_cut_off_by_its_budget_is_an_error(tmp_path, capsys, monkeypatch):
     graph = tmp_path / "g.txt"
     graph.write_text(greedy_partial_steiner(35, 3, seed=0, effort=1.0).to_text())
-    monkeypatch.setattr(engine, "C2K_BUDGET", 10**4)
+    # too few expansions to reach a chain of 7 edges, so no C8 can close
+    monkeypatch.setattr(engine, "C2K_BUDGET", 6)
     code, out, err = run(
         ["find", "--input", str(graph), "--k", "4", "--mode", "c2k", "--seed", "0"], capsys
     )

@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from lincyc import (
+    BudgetExceeded,
     Constants,
     CycleFamily,
     LinearCycle,
@@ -18,6 +20,7 @@ from lincyc import (
     build,
     consecutive_cycles,
     engine,
+    enumerate_cycles,
     even_consecutive_cycles,
     find_c2k,
     greedy_partial_steiner,
@@ -26,6 +29,7 @@ from lincyc import (
     verify_cycle,
 )
 from lincyc.engine import _even_subfamily, bound_all, bound_even, dense_connected, layer_cap
+from lincyc.oracle import DEFAULT_BUDGET
 from conftest import difference_projection
 
 
@@ -255,13 +259,48 @@ def test_find_exact_even_length_missing():
         find_c2k(g, 1, seed=0)
 
 
+def first_witness_of_length(g, length, budget=DEFAULT_BUDGET):
+    witnesses: list[LinearCycle] = []
+    try:
+        enumerate_cycles(g, length, budget=budget, witnesses=witnesses)
+    except BudgetExceeded:
+        pass
+    return next(c for c in witnesses if c.length == length)
+
+
+def no_pipeline(monkeypatch):
+    failed = SimpleNamespace(success=False)
+    monkeypatch.setattr(engine, "even_consecutive_cycles", lambda g, k, seed: failed)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_find_exact_even_length_returns_the_first_oracle_witness(monkeypatch, seed):
+    # the oracle fallback stops at its first closure of length 2k: the first
+    # witness of that length in the complete list
+    g, _ = plant_cycles(70, 3, [4, 6, 8], background_density=0.5, seed=seed)
+    no_pipeline(monkeypatch)
+    for k in (2, 3, 4):
+        assert find_c2k(g, k, seed=0) == first_witness_of_length(g, 2 * k)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_find_exact_even_length_returns_a_closure_found_within_its_budget(monkeypatch, seed):
+    # these packings hold a C8 that the oracle reaches within 10^4 expansions
+    # (the budgeted list is a prefix of the complete one): no NotFound
+    g = greedy_partial_steiner(35, 3, seed=seed, effort=1.0)
+    no_pipeline(monkeypatch)
+    monkeypatch.setattr(engine, "C2K_BUDGET", 10**4)
+    assert find_c2k(g, 4, seed=0) == first_witness_of_length(g, 8, budget=10**4)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_find_exact_even_length_reports_an_incomplete_search(monkeypatch, seed):
-    # every one of these packings holds a C8, but the oracle records no
-    # length-8 witness within a small budget: the NotFound must say the
-    # search stopped, not that no cycle exists
+    # every one of these packings holds a C8, but a closure of length 2k comes
+    # at the earliest at expansion 2k - 1, the chain's last edge: a budget of
+    # 2k - 2 stops first, and the NotFound must say the search stopped, not
+    # that no cycle exists
     g = greedy_partial_steiner(35, 3, seed=seed, effort=1.0)
-    monkeypatch.setattr(engine, "C2K_BUDGET", 10**4)
-    with pytest.raises(NotFound, match="stopped at its budget of 10000 expansions; "
+    monkeypatch.setattr(engine, "C2K_BUDGET", 6)
+    with pytest.raises(NotFound, match="stopped at its budget of 6 expansions; "
                                        "the search is incomplete"):
         find_c2k(g, 4, seed=0)

@@ -121,13 +121,20 @@ def test_spectrum_json(fano):
 
 # -- enumerate_cycles against the scan it replaced ------------------------------------
 #
-# enumerate_cycles looks the closing edge up instead of scanning for it, and skips
-# the scan at the last depth.  The reference below is the loop as first written:
-# every incident edge is scanned, for closing and extending alike.  Witness order,
-# counts and the budget's stopping point must be identical.
+# enumerate_cycles looks the closing edge up instead of scanning for it, skips the
+# subtrees that cannot close and tries last-depth states in place.  The reference
+# below is the loop as first written: every incident edge is scanned, for closing
+# and extending alike.  With prune=True it also skips what the oracle skips: a
+# closing edge holds a and comes after the second edge, so a first edge with no
+# later edge at a, or a second edge at or above the last edge at a, closes nothing.
+# Complete runs must be identical to the plain scan: witness order and counts.
+# Pruned subtrees spend no budget, so a budgeted run records a prefix of the
+# complete list at least as long as the plain scan's, and exactly the pruned
+# scan's, which counts one expansion per popped state as the oracle does.
 
 
-def naive_enumerate_cycles(g, max_len, budget=DEFAULT_BUDGET, count=False, witnesses=None):
+def naive_enumerate_cycles(g, max_len, budget=DEFAULT_BUDGET, count=False, witnesses=None,
+                           prune=False):
     if max_len < 3:
         raise PreconditionFailed("max_len must be at least 3")
     lengths: set[int] = set()
@@ -138,6 +145,9 @@ def naive_enumerate_cycles(g, max_len, budget=DEFAULT_BUDGET, count=False, witne
         e1 = edges[start]
         e1_set = set(e1)
         for a in e1:
+            last = max(g.incident[a])
+            if prune and last <= start:
+                continue
             for w in e1:
                 if w == a:
                     continue
@@ -171,20 +181,33 @@ def naive_enumerate_cycles(g, max_len, budget=DEFAULT_BUDGET, count=False, witne
                             continue
                         if depth + 1 >= max_len:
                             continue
+                        if prune and depth == 1 and eid >= last:
+                            continue
                         for new_pivot in [v for v in f if v != pivot]:
                             stack.append((new_pivot, chain + [eid], used | f))
     return Spectrum(max_len, lengths, counts if count else {}, complete=True)
 
 
-def outcome(enumerate, g, max_len, budget):
+def outcome(enumerate, g, max_len, budget=DEFAULT_BUDGET, **kw):
     """Everything observable: spectrum or budget partial, and the witnesses."""
     found: list[LinearCycle] = []
     try:
-        spec = enumerate(g, max_len, budget=budget, count=True, witnesses=found)
+        spec = enumerate(g, max_len, budget=budget, count=True, witnesses=found, **kw)
         stopped = False
     except BudgetExceeded as err:
         spec, stopped = err.partial, True
     return stopped, spec.to_json(), found
+
+
+def assert_budgeted_prefix(g, max_len, budget, complete):
+    """The budgeted oracle equals the pruned scan, and its witnesses are a
+    prefix of ``complete`` at least as long as the plain scan's."""
+    got = outcome(enumerate_cycles, g, max_len, budget)
+    assert got == outcome(naive_enumerate_cycles, g, max_len, budget, prune=True)
+    stopped, _, found = got
+    assert found == (complete[:len(found)] if stopped else complete)
+    assert len(found) >= len(outcome(naive_enumerate_cycles, g, max_len, budget)[2])
+    return found
 
 
 @st.composite
@@ -203,14 +226,29 @@ def oracle_cases(draw):
         rng = random.Random(seed)
         g = LinearHypergraph(n, r, [e for e in base.edges if rng.random() < keep][:40])
     max_len = draw(st.integers(3, 8))
-    budget = draw(st.just(DEFAULT_BUDGET) | st.integers(1, 3000))
+    budget = draw(st.integers(1, 3000))
     return g, max_len, budget
 
 
 @settings(max_examples=200, deadline=None)
 @given(oracle_cases())
 def test_lookup_enumeration_matches_the_scan(case):
-    assert outcome(enumerate_cycles, *case) == outcome(naive_enumerate_cycles, *case)
+    g, max_len, budget = case
+    complete = outcome(naive_enumerate_cycles, g, max_len)
+    assert outcome(enumerate_cycles, g, max_len) == complete
+    assert outcome(naive_enumerate_cycles, g, max_len, prune=True) == complete
+    assert_budgeted_prefix(g, max_len, budget, complete[2])
+
+
+@pytest.mark.parametrize("n", [25, 30, 35])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_budgeted_enumeration_records_a_prefix_on_packings(n, seed):
+    # the plain scan spends its first 2*10^5 expansions here in subtrees that
+    # cannot close and records nothing, so the complete list is too long to
+    # build; the pruned scan, equal to it on complete runs above, stands in
+    g = greedy_partial_steiner(n, 3, seed=seed, effort=1.0)
+    reference = outcome(naive_enumerate_cycles, g, 8, 6000, prune=True)[2]
+    assert assert_budgeted_prefix(g, 8, 3000, reference)
 
 
 # -- girth ---------------------------------------------------------------------------
