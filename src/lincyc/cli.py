@@ -3,8 +3,9 @@
 Subcommands: gen (instances), find (cycle families), verify (witness check),
 spectrum (oracle enumeration), sweep (success rate vs density), mert (tree
 inspection).  Exit codes: 0 success, 2 verified failure traces, 1 input
-or usage errors and a search cut off by its budget (`find --mode c2k`, or
-`spectrum`, which still prints the partial spectrum).  A JSON
+or usage errors, a search whose precondition fails (`find --mode c2k --k 1`)
+and a search cut off by its budget (`find --mode c2k`, or `spectrum`, which
+still prints the partial spectrum).  A JSON
 config file can mirror any flag of the subcommand and is checked like flags;
 explicit flags win.
 """
@@ -22,7 +23,7 @@ from typing import Optional, Sequence
 
 from .core import LinearHypergraph, _is_edge_list, verify_cycle
 from .engine import consecutive_cycles, even_consecutive_cycles, find_c2k
-from .errors import BudgetExceeded, LincycError, MalformedInput
+from .errors import BudgetExceeded, LincycError, MalformedInput, NotFound
 from .generators import GenSpec, generate, greedy_partial_steiner
 from .mert import build_mert
 from .oracle import enumerate_cycles
@@ -144,7 +145,7 @@ def cmd_find(args) -> int:
     if args.mode == "c2k":
         try:
             cycle = find_c2k(g, args.k, seed)
-        except LincycError as err:
+        except NotFound as err:
             if isinstance(err.__cause__, BudgetExceeded):
                 raise  # an incomplete search is an error, not an honest failure
             print(json.dumps({"outcome": "failure", "reason": str(err), "seed": seed}))

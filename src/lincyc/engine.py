@@ -426,6 +426,8 @@ def cycles_from_internal(
 def even_consecutive_cycles(
     g: LinearHypergraph, k: int, seed: int = 0, strict: bool = False
 ) -> EngineReport:
+    if k < 1:
+        raise PreconditionFailed("need k >= 1")
     cons = Constants(g.r, k)
     n = len(g.vertices)
     d = g.average_degree()
@@ -505,6 +507,8 @@ def _layer_candidates(mert: Mert, k: int, strict: bool):
 def consecutive_cycles(
     g: LinearHypergraph, k: int, seed: int = 0, strict: bool = False
 ) -> EngineReport:
+    if k < 1:
+        raise PreconditionFailed("need k >= 1")
     cons = Constants(g.r, k)
     n = len(g.vertices)
     d = g.average_degree()

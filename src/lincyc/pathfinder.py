@@ -43,6 +43,12 @@ def dense_layer_subgraph(
     L_m(x) and avoid every earlier layer, with m bounded by
     ceil(log n / log(delta/d)).
 
+    One pass over g's edges files each edge that x reaches under its least
+    BFS distance lo, in at[lo], and also in up[lo] when it meets L_{lo+1}: in
+    a linear hypergraph an edge spans at most two consecutive layers.  So the
+    edges meeting L_i are at[i] (m = i) and up[i-1] (m = i - 1, only when
+    they are at least half of them).
+
     Under the precondition the result always has m >= 1.  At i=1 the edges
     through x are a candidate (m=0) only when deg(x) >= |W|, W the other
     edges meeting L_1, and the larger m is tried first.  Each of the
@@ -55,27 +61,29 @@ def dense_layer_subgraph(
     if not (1 <= d <= delta / 2):
         raise PreconditionFailed(f"need 1 <= d <= delta/2, got d={d}, delta={delta}")
     lay = layers if layers is not None else bfs_layers(g, x)
-    t_cap = layer_index_bound(len(g.vertices), delta / d)
-    all_layers = lay.layers
-    for i in range(1, min(t_cap, len(all_layers) - 1) + 1):
-        li = lay.layer(i)
-        if not li:
-            break
-        gi_edges = [e for e in g.edges if any(v in li for v in e)]
-        if _average_degree(gi_edges, g.r) < d / 2:
+    top = min(layer_index_bound(len(g.vertices), delta / d), len(lay.layers) - 1)
+    dist, r = lay.dist, g.r
+    at: list[list[Edge]] = [[] for _ in range(top + 1)]
+    up: list[list[Edge]] = [[] for _ in range(top + 1)]
+    for e in g.edges:
+        if e[0] not in dist:  # BFS reaches all of an edge or none of it
             continue
-        prev = lay.layer(i - 1)
-        with_prev = [e for e in gi_edges if any(v in prev for v in e)]
-        without = [e for e in gi_edges if not any(v in prev for v in e)]
-        candidates: list[tuple[int, list]] = []
-        if len(with_prev) * 2 >= len(gi_edges) and with_prev:
+        ds = [dist[v] for v in e]
+        lo = min(ds)
+        if lo <= top:
+            at[lo].append(e)
+            if lo + 1 in ds:
+                up[lo].append(e)
+    for i in range(1, top + 1):
+        without, with_prev = at[i], up[i - 1]
+        if _average_degree(without + with_prev, r) < d / 2:
+            continue
+        candidates = [(i, without)]
+        if len(with_prev) >= len(without):
             candidates.append((i - 1, with_prev))
-        if without:
-            candidates.append((i, without))
-        # prefer the larger m when both halves are dense enough
-        for m, es in sorted(candidates, key=lambda c: -c[0]):
-            if _average_degree(es, g.r) >= d / 4 and _layer_condition(es, lay, m):
-                return m, g.edge_induced(es)
+        for m, es in candidates:  # the larger m first
+            if _average_degree(es, r) >= d / 4:
+                return m, g._cut(tuple(es), frozenset(chain.from_iterable(es)))
     raise NotFound("no dense layer subgraph; check preconditions")
 
 
@@ -83,16 +91,6 @@ def _average_degree(edges: Sequence[Edge], r: int) -> float:
     """Average degree over the vertices an edge list touches; 0 when empty."""
     verts = {v for e in edges for v in e}
     return r * len(edges) / len(verts) if verts else 0.0
-
-
-def _layer_condition(edges: Sequence[Edge], lay: BfsLayers, m: int) -> bool:
-    lm = lay.layer(m)
-    return all(any(v in lm for v in e) for e in edges) and _avoids_earlier_layers(edges, lay, m)
-
-
-def _avoids_earlier_layers(edges: Sequence[Edge], lay: BfsLayers, m: int) -> bool:
-    early = frozenset().union(*lay.layers[:m])
-    return not any(v in early for e in edges for v in e)
 
 
 # -- anchored subgraph (random subsampling with verify-and-retry) --------------
@@ -143,7 +141,6 @@ def anchored_subgraph(
     m, h = dense_layer_subgraph(g, x, d, lay)
     v_m = sorted(h.vertices & lay.layer(m))
     h_edges = h.edges
-    del h  # the rest reads only h's edges; free its incidence maps first
     rng = random.Random(seed)
     threshold = d / (g.r * 2 ** (2 * g.r + 1))
     # keep drawing past the first valid candidate until one has a workably
@@ -231,9 +228,10 @@ def _own_core(edges: list[Edge], r: int) -> tuple[list[Edge], int, KeysView[int]
 
 def _anchored_ok(edges: Sequence[Edge], anchors: frozenset[int], lay: BfsLayers, m: int) -> bool:
     """P1 and P2: each edge holds exactly one anchor and avoids every layer
-    before m."""
-    return (all(len(anchors.intersection(e)) == 1 for e in edges)
-            and _avoids_earlier_layers(edges, lay, m))
+    before m; a vertex the BFS did not reach fails P2."""
+    dist = lay.dist
+    return all(len(anchors.intersection(e)) == 1 and all(dist.get(v, -1) >= m for v in e)
+               for e in edges)
 
 
 # -- long path with a transversal part ----------------------------------------
@@ -426,16 +424,19 @@ def rainbow_special_path(
         u, v = min(set1)
         return [u, v]
 
-    witness = _rainbow_by_proof(h, set1, set2, length, r)
+    adj = h.adjacency()  # both searches read it, neighbors in id order
+    for nbrs in adj.values():
+        nbrs.sort()
+    witness = _rainbow_by_proof(h, adj, set1, set2, length, r)
     if witness is None:
-        witness = _rainbow_dfs(h, set1, set2, length)
+        witness = _rainbow_dfs(h, adj, set1, set2, length)
     if witness is None:
         raise NotFound(f"no strongly rainbow E1/E2 path of length {length} found")
     check_rainbow_special(h, set1, witness, length)
     return witness
 
 
-def _rainbow_by_proof(h, set1, set2, length, r) -> Optional[list[int]]:
+def _rainbow_by_proof(h, adj_h, set1, set2, length, r) -> Optional[list[int]]:
     adj2: defaultdict[int, list[int]] = defaultdict(list)
     for u, v in sorted(set2):
         adj2[u].append(v)
@@ -462,12 +463,8 @@ def _rainbow_by_proof(h, set1, set2, length, r) -> Optional[list[int]]:
     if core is None:
         return None
     pos = {v: i for i, v in enumerate(order)}
-    adj_l: dict[int, list[int]] = {v: [] for v in comp}
-    for u, v in l_edges:
-        adj_l[u].append(v)
-        adj_l[v].append(u)
-    for v in adj_l:
-        adj_l[v].sort(key=lambda w: pos[w])
+    # comp is a component of adj2, so L's neighbors of v are all of adj2[v]
+    adj_l = {v: sorted(adj2[v], key=pos.__getitem__) for v in comp}
 
     def increasing_path_from(s: int) -> Optional[list[int]]:
         # first increasing rainbow path ending in the core or of length-1 edges
@@ -488,10 +485,6 @@ def _rainbow_by_proof(h, set1, set2, length, r) -> Optional[list[int]]:
 
     # a core vertex s yields [s], and the core is non-empty
     base = next(p for p in map(increasing_path_from, order) if p is not None)
-
-    adj_h = h.adjacency()
-    for v in adj_h:
-        adj_h[v].sort()
 
     for _ in range(len(order) + 1):
         colors = set()
@@ -551,10 +544,7 @@ def _grow_good_path(h, set2, core, adj_l, path: list[int], length: int) -> Optio
     return path
 
 
-def _rainbow_dfs(h, set1, set2, length) -> Optional[list[int]]:
-    adj = h.adjacency()
-    for v in adj:
-        adj[v].sort()
+def _rainbow_dfs(h, adj, set1, set2, length) -> Optional[list[int]]:
     spent = 0
     for p in sorted(set1):
         for u, w in (p, p[::-1]):

@@ -183,6 +183,16 @@ def test_find_exact_length_cut_off_by_its_budget_is_an_error(tmp_path, capsys, m
     assert "incomplete" in err
 
 
+def test_find_exact_length_below_four_is_an_error(planted_file, capsys):
+    # nothing is searched for k = 1, so there is no honest failure to report
+    code, out, err = run(
+        ["find", "--input", str(planted_file), "--k", "1", "--mode", "c2k", "--seed", "0"],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: need k >= 2 for a cycle of length 2k\n"
+
+
 def test_find_then_verify_round_trip(tmp_path, capsys):
     graph = tmp_path / "g.txt"
     code, _, _ = run(

@@ -168,6 +168,14 @@ def test_all_pipeline_success(packing150, k):
     assert fam.shortest <= 2 * closing["m"] + closing["t"] + 3
 
 
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("pipeline", [even_consecutive_cycles, consecutive_cycles])
+def test_pipelines_refuse_k_below_one(packing150, pipeline, k):
+    # checked before the bound arithmetic, which has no value at k < 1
+    with pytest.raises(PreconditionFailed, match=r"^need k >= 1$"):
+        pipeline(packing150, k, seed=0)
+
+
 def test_pipelines_at_uniformity_four():
     g = greedy_partial_steiner(300, 4, seed=0)
     for runner, parity in ((even_consecutive_cycles, "EVEN"), (consecutive_cycles, "ALL")):

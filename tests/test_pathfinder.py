@@ -38,7 +38,7 @@ from lincyc.pathfinder import (
     layer_index_bound,
 )
 from lincyc.reductions import degeneracy, max_degree_root
-from conftest import difference_projection, split_edges, transversal_regular_instance
+from conftest import FANO_LINES, difference_projection, split_edges, transversal_regular_instance
 
 
 @pytest.fixture(scope="module")
@@ -298,6 +298,33 @@ def test_draws_match_the_graph_per_draw_reference(case):
     assert settle(dense_layer_subgraph, g, x, d) == settle(naive_dense_layer_subgraph, g, x, d)
     assert (settle(anchored_subgraph, g, x, d, seed)
             == settle(naive_anchored_subgraph, g, x, d, seed))
+
+
+# dense_layer_subgraph files each edge under its least BFS distance, as an edge
+# of at most two consecutive layers, and skips an edge whose first vertex the
+# BFS did not reach.  Both rest on this premise.
+
+
+@settings(max_examples=100, deadline=None)
+@given(layered_cases())
+def test_an_edge_spans_at_most_two_consecutive_layers(case):
+    g, x, _, _ = case
+    dist = bfs_layers(g, x).dist
+    for e in g.edges:
+        ds = [dist.get(v) for v in e]
+        if None in ds:
+            assert ds == [None] * len(e)
+        else:
+            assert max(ds) - min(ds) <= 1
+
+
+def test_layer_subgraph_of_two_fano_planes_matches_the_reference():
+    # every BFS leaves the other plane's seven edges unreached
+    g = build(14, 3, FANO_LINES + [tuple(v + 7 for v in e) for e in FANO_LINES])
+    for x in range(14):
+        for d in (1, 1.5):
+            assert (settle(dense_layer_subgraph, g, x, d)
+                    == settle(naive_dense_layer_subgraph, g, x, d))
 
 
 # The property above stops at n <= 90.  These cases are the all-lengths
