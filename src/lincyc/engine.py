@@ -556,9 +556,12 @@ def consecutive_cycles(
         union = set(anc.witness_paths[x].edges) | set(anc.witness_paths[y].edges)
         try:
             lay = bfs_layers(core.edge_induced(union), x)
-            pxy = lay.path_to(y)
-        except (LincycError, KeyError):
+        except LincycError:
             continue
+        # both witness paths start at the root and m >= 1, so y is reachable
+        if y not in lay.dist:
+            raise InvariantViolation(f"anchor {y} is unreachable from {x} in their witness paths")
+        pxy = lay.path_to(y)
         y_in_e = y in set(fam.e)
         cycles = []
         try:

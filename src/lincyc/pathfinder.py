@@ -14,7 +14,7 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, KeysView, Optional, Sequence
+from typing import Iterable, KeysView, Mapping, Optional, Sequence
 
 from .core import ColoredGraph, Edge, LinearHypergraph, LinearPath, Pair, _pair, verify_path
 from .errors import (
@@ -140,7 +140,7 @@ def anchored_subgraph(
     lay = bfs_layers(g, x)
     m, h = dense_layer_subgraph(g, x, d, lay)
     v_m = sorted(h.vertices & lay.layer(m))
-    h_edges = h.edges
+    h_edges, h_incident = h.edges, h.incident
     rng = random.Random(seed)
     threshold = d / (g.r * 2 ** (2 * g.r + 1))
     # keep drawing past the first valid candidate until one has a workably
@@ -148,24 +148,26 @@ def anchored_subgraph(
     good_enough = max(4.0, threshold)
     # a draw keeps a subset of h's edges, so its minimum degree is at most
     # h's degeneracy; the loop stops once best_low reaches that or good_enough
-    ceiling = degeneracy(h_edges, g.r, good_enough)
+    ceiling = degeneracy(h_edges, g.r, good_enough, h_incident)
     best: Optional[AnchoredSubgraph] = None
     best_low = 0  # a kept core has minimum degree at least 1
-    # the draw index, built once per call: the draws pick anchors from v_m only,
-    # so an edge's layer-m vertices decide whether it holds exactly one.  own[v]
-    # lists the edges whose one layer-m vertex is v; multi keeps the rest (every
-    # edge of h meets layer m), which a draw intersects with its anchors.  An
-    # anchor is admissible only if no other vertex of its parent edge is
-    # drawn, and only the parent-edge vertices in v_m can be drawn.
+    # the draw index, built once per call over the ids of h's edges: the draws
+    # pick anchors from v_m only, so an edge's layer-m vertices decide whether
+    # it holds exactly one.  own[v] lists the edges whose one layer-m vertex is
+    # v; multi_at[v] lists the other edges at v (every edge of h meets layer
+    # m), and a draw counts the anchors each of those holds.  An anchor is
+    # admissible only if no other vertex of its parent edge is drawn, and
+    # only the parent-edge vertices in v_m can be drawn.
     in_m = set(v_m)
-    own: dict[int, list[Edge]] = {v: [] for v in v_m}
-    multi: list[Edge] = []
-    for e in h_edges:
+    own: dict[int, list[int]] = {v: [] for v in v_m}
+    multi_at: dict[int, list[int]] = {v: [] for v in v_m}
+    for eid, e in enumerate(h_edges):
         hits = [v for v in e if v in in_m]
         if len(hits) == 1:
-            own[hits[0]].append(e)
+            own[hits[0]].append(eid)
         else:
-            multi.append(e)
+            for v in hits:
+                multi_at[v].append(eid)
     # an anchor's BFS path must meet V(F) only in the anchor (P3).  BFS
     # distances count edges, so the first m - 1 edges of the path lie in
     # layers below m and V(F), inside V(h), lies in layers m and above: the
@@ -179,34 +181,36 @@ def anchored_subgraph(
     for attempt in range(ANCHOR_ATTEMPTS):
         px, py = schedule[attempt % len(schedule)]
         xs = {v for v in v_m if rng.random() < px}
+        held = Counter(chain.from_iterable(multi_at[v] for v in xs))
         # ys is drawn only when some edge holds exactly one vertex of xs
-        if not (any(own[v] for v in xs) or any(len(xs.intersection(e)) == 1 for e in multi)):
+        if not (any(own[v] for v in xs) or 1 in held.values()):
             continue
         ys = {v for v in xs if rng.random() < py}
-        ok_ys = {v for v in ys if ys.isdisjoint(siblings[v])}
-        nice = [e for v in ok_ys for e in own[v]]
-        for e in multi:
-            inx = xs.intersection(e)
-            if len(inx) == 1 and inx.pop() in ok_ys:
-                nice.append(e)
-        kept, low, fv = _own_core(nice, g.r)
+        ok_ys = [v for v in ys if ys.isdisjoint(siblings[v])]
+        nice = [eid for v in ok_ys for eid in own[v]]
+        nice += [eid for v in ok_ys for eid in multi_at[v] if held[eid] == 1]
+        kept, low, fv = _own_core(h_edges, h_incident, nice, g.r)
         anchors = frozenset(ys)
         # one repair pass drops every edge at a sibling in V(F) of an anchor
         # in V(F), after which none is left (P3)
         bad = {u for v in fv & anchors for u in siblings[v] if u in fv}
         if bad:
-            kept, low, fv = _own_core([e for e in kept if bad.isdisjoint(e)], g.r)
+            kept = [eid for eid in kept if bad.isdisjoint(h_edges[eid])]
+            kept, low, fv = _own_core(h_edges, h_incident, kept, g.r)
         if not kept or low < threshold:
             continue
         # only a draw that is kept or returned becomes a graph, and is checked
         # for P1-P3 against the BFS paths themselves; best_low stays below the
         # ceiling, so a draw that reaches it is always kept
         if low > best_low:
+            # h's edges are a sorted sub-list of g's, so sorted ids cut F from g
+            f_edges = tuple(h_edges[eid] for eid in sorted(kept))
             paths = {v: lay.path_to(v) for v in sorted(fv & anchors)}
-            if not (_anchored_ok(kept, anchors, lay, m)
+            if not (_anchored_ok(f_edges, anchors, lay, m)
                     and all(fv.isdisjoint(p.vertex_set() - {v}) for v, p in paths.items())):
                 raise InvariantViolation("an anchored draw breaks P1, P2 or P3")
-            best, best_low = AnchoredSubgraph(m, anchors, g.edge_induced(kept), paths, lay), low
+            f = g._cut(f_edges, frozenset(chain.from_iterable(f_edges)))
+            best, best_low = AnchoredSubgraph(m, anchors, f, paths, lay), low
             if low >= ceiling:
                 return best
         if attempt >= 60:
@@ -216,13 +220,15 @@ def anchored_subgraph(
     raise RetriesExhausted("anchored subgraph draws kept failing P1-P3", ANCHOR_ATTEMPTS)
 
 
-def _own_core(edges: list[Edge], r: int) -> tuple[list[Edge], int, KeysView[int]]:
-    """The core of the edges at their own average degree, its minimum degree
-    and its vertex set, from one count of the edges."""
-    deg = Counter(chain.from_iterable(edges))
+def _own_core(edges: Sequence[Edge], incident: Mapping[int, Sequence[int]], ids: list[int],
+              r: int) -> tuple[list[int], int, KeysView[int]]:
+    """The core of the edges with ids ids at their own average degree, its
+    ids, its minimum degree and its vertex set, from one count of the edges
+    and a peel on the incidence of all of edges."""
+    deg = Counter(chain.from_iterable(map(edges.__getitem__, ids)))
     if not deg:
-        return edges, 0, deg.keys()
-    kept, low = _counted_core(edges, deg, r, r * len(edges) / len(deg))
+        return ids, 0, deg.keys()
+    kept, low = _counted_core(edges, ids, incident, deg, r, r * len(ids) / len(deg))
     return kept, low, deg.keys()
 
 

@@ -12,9 +12,12 @@ rescan of every live vertex (Matula-Beck smallest-last, Batagelj-Zaversnik).
 `min_degree_core` needs no order: the core of minimum degree at least d/r is
 unique, so a worklist deletes each vertex once it falls below d/r, with no
 heap.  It counts the degrees first and returns at once when every degree
-already meets d/r, as most anchored draws do.  It peels a bare edge list, so
-the anchored draws in `pathfinder` build no graph per draw, and
-`degeneracy` bounds what any of their draws can reach.
+already meets d/r, as most anchored draws do.  Its peel, `_counted_core`,
+takes a subset of an edge list's ids and a caller's incidence over the whole
+list, and skips every id that is not live: the anchored draws in
+`pathfinder` peel on one incidence of the layer subgraph h, built once per
+call, and build no graph or index per draw.  `degeneracy` bounds what any of
+their draws can reach, and peels its nested cores on the same incidence.
 
 The r-partite reduction (Erdős–Kleitman) hill-climbs a random balanced
 r-partition one vertex at a time until the transversal edges reach r!/r^r of
@@ -34,7 +37,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import Edge, LinearHypergraph, LinearPath, Pair, RPartition, _incidence, _pair
 from .errors import EmptyCore, InvariantViolation, PreconditionFailed, RetriesExhausted
@@ -80,47 +83,61 @@ def min_degree_core(edges: Sequence[Edge], r: int, d: float) -> tuple[list[Edge]
     input order, and their minimum degree (0 when none is left).  The
     survivors are the unique such core, whatever the deletion order, so a
     vertex joins the worklist once, when its degree first drops below d/r."""
-    return _counted_core(edges, Counter(chain.from_iterable(edges)), r, d)
+    deg = Counter(chain.from_iterable(edges))
+    kept, low = _counted_core(edges, range(len(edges)), None, deg, r, d)
+    return list(map(edges.__getitem__, kept)), low
 
 
-def _counted_core(edges: Sequence[Edge], deg: Counter, r: int, d: float) -> tuple[list[Edge], int]:
-    """min_degree_core given deg, the degree of every vertex of edges.  deg
-    is left holding the core's degrees: a deleted vertex loses its key."""
+def _counted_core(edges: Sequence[Edge], ids: Sequence[int], incident: Optional[Mapping],
+                  deg: Counter, r: int, d: float) -> tuple[list[int], int]:
+    """min_degree_core of the edges whose ids are ids: the surviving ids, in
+    the order of ids, and their minimum degree.  deg holds the degree of every
+    vertex of those edges and is left holding the core's: a deleted vertex
+    loses its key.  incident maps each such vertex to the ids of its edges
+    among edges, ids or not; the peel skips an id that is not live, so one
+    incidence serves every subset.  None builds it over edges, and only when
+    a vertex has to go."""
     low = min(deg.values(), default=0)
     # a vertex stays while k * r >= d, a test every k fails for a NaN d, so
     # a NaN d deletes every vertex, as the smallest-last peel did
     if low * r >= d:
-        return list(edges), low  # every degree meets the threshold: no peel
-    incident = _incidence(edges)
-    live = [True] * len(edges)
+        return list(ids), low  # every degree meets the threshold: no peel
+    if incident is None:
+        incident = _incidence(edges)
+    live = set(ids)
     work = [v for v, k in deg.items() if not k * r >= d]
     while work:
         v = work.pop()
         del deg[v]  # every edge at v dies now, so nothing reads deg[v] again
         for eid in incident[v]:
-            if live[eid]:
-                live[eid] = False
+            if eid in live:
+                live.remove(eid)
                 for u in edges[eid]:
                     if u != v:
                         k = deg[u]
                         deg[u] = k - 1
                         if k * r >= d and not (k - 1) * r >= d:
                             work.append(u)
-    kept = [e for e, ok in zip(edges, live) if ok]
+    kept = [i for i in ids if i in live]
     low = min(deg.values(), default=0)
     if kept and low * r < d:
         raise InvariantViolation("core minimum degree below the peeling threshold")
     return kept, low
 
 
-def degeneracy(edges: Sequence[Edge], r: int, cap: float) -> int:
+def degeneracy(edges: Sequence[Edge], r: int, cap: float,
+               incident: Optional[Mapping] = None) -> int:
     """The degeneracy of the edges, capped at ceil(cap): the largest k for
     which they have a non-empty core of minimum degree k (0 for no edges),
     so no subset of them has a larger minimum degree.  Cores nest, so each
-    step peels the last core to one above its minimum degree."""
-    k, kept = 0, edges
+    step peels the last core to one above its minimum degree, on one
+    incidence of the edges (built here when None) and one degree count."""
+    if incident is None:
+        incident = _incidence(edges)
+    deg = Counter(chain.from_iterable(edges))
+    k, kept = 0, range(len(edges))
     while k < cap:
-        kept, low = min_degree_core(kept, r, r * (k + 1))
+        kept, low = _counted_core(edges, kept, incident, deg, r, r * (k + 1))
         if not kept:
             break
         k = low

@@ -4,6 +4,7 @@ rainbow path search."""
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from collections import Counter
@@ -13,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lincyc.core
+import lincyc.reductions
 from lincyc import (
     EmptyCore,
     LincycError,
@@ -362,6 +365,25 @@ def test_draws_match_the_reference_at_workload_scale(n, d, seed):
     assert got[0] == m == 1
     lm = bfs_layers(g, x).layer(m)
     assert any(len(lm.intersection(e)) >= 2 for e in h.edges)
+
+
+def test_draws_index_only_g_and_h(monkeypatch):
+    """One anchored call indexes g and its layer subgraph h, and nothing per
+    draw: the draws and the degeneracy ceiling peel on h's incidence."""
+    g, x, d_eff = _pipeline_case(300, 36, 0)
+    _, h = dense_layer_subgraph(g, x, d_eff)
+    g = copy.copy(g)  # a copy builds its indexes again, inside the call
+    indexed = []
+
+    def recording(edges):
+        indexed.append(list(edges))
+        return incidence(edges)
+
+    incidence = lincyc.core._incidence
+    monkeypatch.setattr(lincyc.core, "_incidence", recording)
+    monkeypatch.setattr(lincyc.reductions, "_incidence", recording)
+    anchored_subgraph(g, x, d_eff, 0)
+    assert sorted(indexed) == sorted([list(g.edges), list(h.edges)])
 
 
 # pan_connected roots anchored_subgraph again at each anchor of the first

@@ -7,6 +7,7 @@ import functools
 import math
 import random
 from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +28,8 @@ from lincyc import (
     min_degree_subgraph,
     r_partite_reduction,
 )
-from lincyc.reductions import PeelResult, degeneracy, min_degree_core
+from lincyc.core import _incidence
+from lincyc.reductions import PeelResult, _counted_core, degeneracy, min_degree_core
 from conftest import FANO_LINES
 
 
@@ -428,6 +430,35 @@ def naive_degeneracy(edges, r):
 def test_degeneracy_matches_naive_scan(case, cap):
     edges, r, _ = case
     assert degeneracy(edges, r, cap) == min(naive_degeneracy(edges, r), math.ceil(cap))
+
+
+@st.composite
+def edge_subsets(draw):
+    """An edge list with a threshold, as edge_lists draws them, and the ids of
+    a random subset of its edges in a random order."""
+    edges, r, d = draw(edge_lists())
+    keep = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return edges, r, d, draw(st.permutations([i for i, k in enumerate(keep) if k]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_subsets())
+@example((FANO_LINES, 3, 3.0, []))  # the empty subset
+@example((FANO_LINES, 3, 6.0, [4, 0, 2]))  # three lines: the core vanishes
+@example((FANO_LINES, 3, 9.5, list(range(7))))  # the whole plane vanishes
+@example((FANO_LINES, 3, 9.0, [6, 5, 4, 3, 2, 1, 0]))  # nothing is peeled
+@example(([(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5)], 3, 6.0, [3, 0, 1]))
+def test_shared_index_peel_matches_naive_core(case):
+    """The anchored draws peel a subset of h's edge ids on h's incidence;
+    the peel must skip every id outside the subset or already dead."""
+    edges, r, d, ids = case
+    sub = [edges[i] for i in ids]
+    deg = Counter(chain.from_iterable(sub))
+    kept, low = _counted_core(edges, ids, _incidence(edges), deg, r, d)
+    want, want_low = naive_core(sub, r, d)
+    assert [edges[i] for i in kept] == want
+    assert low == want_low
+    assert set(deg) == set(chain.from_iterable(want))
 
 
 @settings(max_examples=300, deadline=None)
