@@ -19,7 +19,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Literal, Optional, Sequence
 
 from .errors import (
@@ -294,10 +294,12 @@ class RPartition:
         return self._index
 
     def check(self, g: LinearHypergraph) -> None:
-        idx = self.index_map()
+        """Raise NotPartite on the first edge that does not take exactly one
+        vertex from each class: r vertices whose classes are all r classes."""
+        idx, r = self.index_map(), len(self.parts)
+        full = set(range(r))
         for e in g.edges:
-            marks = sorted(idx.get(v, -1) for v in e)
-            if marks != list(range(len(self.parts))):
+            if set(map(idx.get, e)) != full or len(e) != r:
                 raise NotPartite(e)
 
 
@@ -360,20 +362,20 @@ def project(g: LinearHypergraph, partition: RPartition, i: int, j: int) -> Color
     2-edge map is bijective on linear inputs, which the construction checks.
     """
     partition.check(g)
-    ai, aj = partition.parts[i], partition.parts[j]
+    pm = partition.index_map()
     edges: list[Pair] = []
     color: dict[Pair, frozenset[int]] = {}
     source: dict[Pair, Edge] = {}
     for e in g.edges:
-        u = next(v for v in e if v in ai)
-        w = next(v for v in e if v in aj)
+        marks = [pm[v] for v in e]  # one vertex per class, by the check
+        u, w = e[marks.index(i)], e[marks.index(j)]
         p = _pair(u, w)
         if p in color:
             raise InvariantViolation("projection must be bijective on a linear graph")
         edges.append(p)
         color[p] = frozenset(v for v in e if v not in (u, w))
         source[p] = e
-    verts = frozenset(v for e in g.edges for v in e if v in ai or v in aj)
+    verts = frozenset(chain.from_iterable(edges))
     return ColoredGraph(verts, tuple(sorted(edges)), color, source)
 
 

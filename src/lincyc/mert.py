@@ -102,7 +102,9 @@ def build_mert(g: LinearHypergraph, partition: RPartition, x: int) -> Mert:
     disjoint from all earlier ones except at its level vertices.  So the
     growth keeps one map, first[v], the index of the first segment holding
     v: an attachable edge lies at a fresh vertex, and its other vertices are
-    not in the map.  One pass over the edges then files them by level.
+    not in the map.  hits[eid] counts the vertices of edge eid in the map, so
+    an edge is attachable when it is 1.  One pass over the edges then files
+    them by level.
     """
     partition.check(g)
     pm = partition.index_map()
@@ -113,6 +115,9 @@ def build_mert(g: LinearHypergraph, partition: RPartition, x: int) -> Mert:
     star = sorted(incident.get(x, ()))
     segments: list[tuple[int, ...]] = [tuple(), tuple(star)]
     first = {x: 0}
+    hits = [0] * len(edges)
+    for eid in star:
+        hits[eid] = 1
     levels: list[frozenset[int]] = [frozenset({x})]
     part_of_level = [0]
     parent: dict[int, int] = {}
@@ -131,11 +136,10 @@ def build_mert(g: LinearHypergraph, partition: RPartition, x: int) -> Mert:
     while True:
         for v in pending:
             first[v] = i
+            for eid in incident[v]:
+                hits[eid] += 1
         attach = sorted(  # (edge id, attachment vertex)
-            (eid, v)
-            for v in pending
-            for eid in incident[v]
-            if len(first.keys() & edges[eid]) == 1
+            (eid, v) for v in pending for eid in incident[v] if hits[eid] == 1
         )
         # a fresh vertex shares an edge with a level-(i-1) vertex, so no
         # candidate lies in that level's class
@@ -164,7 +168,7 @@ def build_mert(g: LinearHypergraph, partition: RPartition, x: int) -> Mert:
         next_ids: list[int] = []
         new_pending: dict[int, tuple[int, tuple[int, ...]]] = {}
         for eid, v in groups[part]:
-            residue = tuple(sorted(u for u in edges[eid] if u != v))
+            residue = tuple(u for u in edges[eid] if u != v)
             if any(u in used for u in residue):
                 continue
             used.update(residue)

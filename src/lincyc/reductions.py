@@ -261,13 +261,15 @@ def d_minimal(g: LinearHypergraph, d: float) -> LinearHypergraph:
 
     Peels the vertex set while deleting the least-degree vertex keeps the
     average degree at d or above, that is while r(e - deg) >= d(alive - 1).
+    A peel that deletes nothing returns g itself, with its built indexes.
     """
     if g.average_degree() < d:
         raise PreconditionFailed(f"average degree {g.average_degree()} below {d}")
-    _, alive, live = _peel(g.incident, g.edges, g.vertices,
-                           lambda k, a, e: a <= 1 or g.r * (e - k) < d * (a - 1))
-    # an edge stays live exactly when none of its vertices was deleted
-    out = g._cut(tuple(e for e, ok in zip(g.edges, live) if ok), frozenset(alive))
+    deleted, alive, live = _peel(g.incident, g.edges, g.vertices,
+                                 lambda k, a, e: a <= 1 or g.r * (e - k) < d * (a - 1))
+    out = g
+    if deleted:  # an edge stays live exactly when none of its vertices was deleted
+        out = g._cut(tuple(e for e, ok in zip(g.edges, live) if ok), frozenset(alive))
     if out.average_degree() < d:
         raise InvariantViolation("d-minimal subgraph has average degree below d")
     return out

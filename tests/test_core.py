@@ -148,6 +148,56 @@ def test_project_requires_partite():
         project(g, part, 0, 1)
 
 
+def sorted_marks_culprit(partition, edges):
+    """The first edge whose sorted class marks, -1 off every class, are not
+    0..r-1 for a partition of r classes; None when every edge passes."""
+    idx = {v: i for i, part in enumerate(partition.parts) for v in part}
+    return next((e for e in edges
+                 if sorted(idx.get(v, -1) for v in e) != list(range(len(partition.parts)))),
+                None)
+
+
+@st.composite
+def class_maps(draw):
+    """A partition of up to 5 classes over 0..n-1, some vertices in no class,
+    and up to 4 edges, none repeated, of one size r that may differ from the
+    class count."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    classes = draw(st.integers(min_value=1, max_value=5))
+    marks = draw(st.lists(st.none() | st.integers(0, classes - 1), min_size=n, max_size=n))
+    r = draw(st.integers(min_value=2, max_value=n))
+    edge = st.lists(st.integers(0, n - 1), min_size=r, max_size=r, unique=True)
+    edges = draw(st.lists(edge.map(lambda e: tuple(sorted(e))), max_size=4, unique=True))
+    parts = tuple(frozenset(v for v in range(n) if marks[v] == i) for i in range(classes))
+    return RPartition(parts), tuple(sorted(edges))
+
+
+def _parts(*classes):
+    return RPartition(tuple(map(frozenset, classes)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(class_maps())
+# r = 4 under 3 classes, all of them met: only the length test rejects it
+@example((_parts({0, 3}, {1}, {2}), ((0, 1, 2, 3),)))
+@example((_parts({0}, {1}, {2}), ((0, 1, 4),)))  # vertex 4 is in no class
+@example((_parts({0, 1}, {2}, {3}), ((0, 1, 2),)))  # class 0 twice, class 2 missed
+@example((_parts({0, 1}, {2, 3}, {4}), ((0, 1, 2, 3),)))  # r = 4 under 3 classes, one missed
+@example((_parts({0}, {1}, {2}), ((0, 1),)))  # r = 2 under 3 classes
+@example((_parts({0, 3}, {1, 4}, {2, 5}), ((0, 1, 2), (3, 4, 5))))  # partite
+def test_check_matches_the_sorted_marks_rule(case):
+    partition, edges = case
+    r = len(edges[0]) if edges else 3
+    g = _assembled(10, r, edges, frozenset(range(10)))
+    want = sorted_marks_culprit(partition, edges)
+    if want is None:
+        partition.check(g)
+    else:
+        with pytest.raises(NotPartite) as err:
+            partition.check(g)
+        assert err.value.edge == want
+
+
 def test_projection_edge_count_matches_partite_subgraph(fano):
     sub, part = r_partite_reduction(fano, seed=1)
     h = project(sub, part, 0, 1)

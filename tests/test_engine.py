@@ -3,12 +3,15 @@ cores, both pipelines, exact even-length extraction, and report plumbing."""
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from types import SimpleNamespace
 
 import pytest
 
+import lincyc.core
+import lincyc.reductions
 from lincyc import (
     BudgetExceeded,
     Constants,
@@ -210,6 +213,32 @@ def test_failure_report_shape():
 def test_edgeless_input_fails_honestly(pipeline, stage):
     report = pipeline(build(5, 3, []), 2, seed=0)
     assert not report.success and report.outcome.stage == stage
+
+
+def test_even_setup_indexes_each_graph_once(monkeypatch):
+    """When d_minimal peels nothing it returns the partite subgraph itself, so
+    build_mert reads the incidence the peel built: the input and the partite
+    subgraph are each indexed once, and nothing else is indexed for them."""
+    g = copy.copy(greedy_partial_steiner(30, 3, seed=0))  # indexed inside the call
+    indexed, minimal = [], []
+
+    def recording(edges):
+        indexed.append(tuple(edges))
+        return incidence(edges)
+
+    def spying(h, d):
+        minimal.append((h, d_minimal(h, d)))
+        return minimal[-1][1]
+
+    incidence, d_minimal = lincyc.core._incidence, engine.d_minimal
+    monkeypatch.setattr(lincyc.core, "_incidence", recording)
+    monkeypatch.setattr(lincyc.reductions, "_incidence", recording)
+    monkeypatch.setattr(engine, "d_minimal", spying)
+    assert even_consecutive_cycles(g, 2, seed=0).success
+    ((sub, gd),) = minimal
+    assert gd is sub
+    assert indexed[:2] == [g.edges, sub.edges]
+    assert indexed.count(g.edges) == indexed.count(sub.edges) == 1
 
 
 def test_report_schema_and_determinism(packing150):

@@ -11,6 +11,8 @@ failure traces and closure firings of the all-lengths pipeline.
 
 The r-partite reduction is also pinned on its own, at r = 3, 4 and 5, with
 one sparse n = 2000, d = 6 instance like the even pipeline's largest inputs.
+The even pipeline is pinned at r = 4 on one of those instances, where it both
+fires and fails at the boundary and fails at the internal assembly.
 
 The internal assembly never fires in that corpus, so one report where it does
 is pinned on a stored instance, tests/data/even_sparse_internal.txt.
@@ -88,9 +90,14 @@ PARTITE_INSTANCES = {
 }
 
 
-def partite_digest(name: str) -> str:
+@functools.lru_cache(maxsize=None)
+def partite_instance(name: str) -> LinearHypergraph:
     n, r, effort, d = PARTITE_INSTANCES[name]
-    g = thinned(greedy_partial_steiner(n, r, seed=n, effort=effort), d)
+    return thinned(greedy_partial_steiner(n, r, seed=n, effort=effort), d)
+
+
+def partite_digest(name: str) -> str:
+    g = partite_instance(name)
     out = []
     for seed in PARTITE_SEEDS:
         sub, partition = r_partite_reduction(g, seed)
@@ -167,6 +174,18 @@ def test_mert_dump_hashes(name, seed, explicit_root, tmp_path, capsys):
 @pytest.mark.parametrize("name", sorted(PARTITE_HASHES))
 def test_partite_reduction_hashes(name):
     assert partite_digest(name) == PARTITE_HASHES[name]
+
+
+# even_consecutive_cycles(g, 2, seed) for seeds 0-11 on an r = 4 instance
+EVEN_R4_INSTANCE = "r4-n100-d8"
+EVEN_R4_HASH = "de29785601c8a1a48b949da4e52df5cd2799396f8b30e02c0a754ca3a0b107ab"
+
+
+def test_even_report_hash_at_r4():
+    g = partite_instance(EVEN_R4_INSTANCE)
+    assert g.r == 4
+    reports = [even_consecutive_cycles(g, 2, seed) for seed in SEEDS]
+    assert sha("\n".join(report.to_json() for report in reports)) == EVEN_R4_HASH
 
 
 @pytest.mark.parametrize("label", sorted(GEN_HASHES))
