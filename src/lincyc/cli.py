@@ -89,14 +89,14 @@ def _int_at_least(low: int):
     return parse
 
 
-def _finite_float(text: str) -> float:
-    """argparse type: a float that is neither NaN nor infinite."""
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float above zero."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
     return value
 
 
@@ -320,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, default=3)
     p.add_argument("--k", type=_int_at_least(1), default=2)
-    p.add_argument("--d-from", type=_finite_float, required=True)
-    p.add_argument("--d-to", type=_finite_float, required=True)
+    p.add_argument("--d-from", type=_positive_float, required=True)
+    p.add_argument("--d-to", type=_positive_float, required=True)
     p.add_argument("--points", type=_int_at_least(1), default=10)
     p.add_argument("--trials", type=_int_at_least(1), default=5)
     p.add_argument("--jobs", type=_int_at_least(1), default=1)

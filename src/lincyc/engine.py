@@ -60,6 +60,11 @@ class Constants:
     r: int
     k: int
 
+    def __post_init__(self) -> None:
+        # the c2 constants take log2 of a multiple of k
+        if self.k < 1:
+            raise PreconditionFailed("need k >= 1")
+
     @property
     def c1_all(self) -> float:
         return 2 ** (4 * self.r + 8) * self.r**3
@@ -89,22 +94,10 @@ class Constants:
         return math.log2(64 * self.k * self.r ** (self.r + 2))
 
 
-def bound_even(n: int, d: float, k: int, cons: Constants) -> Optional[int]:
-    gap = math.log2(d / k) - cons.c2_even if d > 0 else 0.0
-    if gap <= 0 or n < 2:
-        return None
-    return 2 * math.ceil(math.log2(n) / gap)
-
-
-def bound_all(n: int, d: float, k: int, cons: Constants) -> Optional[int]:
-    gap = math.log2(d / k) - cons.c2_all if d > 0 else 0.0
-    if gap <= 0 or n < 2:
-        return None
-    return 6 * math.ceil(math.log2(n) / gap) + 6
-
-
-def layer_cap(n: int, d: float, k: int, cons: Constants) -> Optional[int]:
-    gap = math.log2(d / k) - cons.c4_part if d > 0 else 0.0
+def log_ratio_cap(n: int, d: float, k: int, c: float) -> Optional[int]:
+    """ceil(log2 n / (log2(d/k) - c)), or None when that gap is not positive
+    or n < 2.  Both theorems' bounds and the layer cap are multiples of it."""
+    gap = math.log2(d / k) - c if d > 0 else 0.0
     if gap <= 0 or n < 2:
         return None
     return math.ceil(math.log2(n) / gap)
@@ -118,7 +111,7 @@ class FailureTrace:
 
 @dataclass
 class EngineReport:
-    outcome: Union[CycleFamily, FailureTrace]
+    outcome: Optional[Union[CycleFamily, FailureTrace]]
     trace: list[dict]
     seed: int
     regime: dict
@@ -127,6 +120,21 @@ class EngineReport:
     @property
     def success(self) -> bool:
         return isinstance(self.outcome, CycleFamily)
+
+    def fail(self, stage: str, reason: str) -> EngineReport:
+        self.trace.append({"stage": stage, "status": "failed", "reason": reason})
+        self.outcome = FailureTrace(stage, reason)
+        return self
+
+    def succeed(self, fam: CycleFamily) -> EngineReport:
+        """Report fam, validated under its own bound and then, for an input in
+        regime with a bound, under the theorem's bound."""
+        fam.validate()
+        if self.bound is not None and self.regime["in_regime"]:
+            fam.bound = self.bound
+            fam.validate()
+        self.outcome = fam
+        return self
 
     def to_json_obj(self) -> dict:
         if self.success:
@@ -154,6 +162,17 @@ class EngineReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True)
+
+
+def _start(g: LinearHypergraph, k: int, seed: int, c1: float, c2: float,
+           scale: int, shift: int) -> EngineReport:
+    """A report without its outcome: the regime d(g) >= c1*k, and the bound
+    scale * log_ratio_cap(n, d, k, c2) + shift (None when the cap is)."""
+    d = g.average_degree()
+    regime = {"in_regime": bool(d >= c1 * k), "c1": c1, "c2": c2}
+    cap = log_ratio_cap(len(g.vertices), d, k, c2)
+    bound = None if cap is None else scale * cap + shift
+    return EngineReport(None, [], seed, regime, bound)
 
 
 # -- transversal cleanup -------------------------------------------------------
@@ -426,19 +445,9 @@ def cycles_from_internal(
 def even_consecutive_cycles(
     g: LinearHypergraph, k: int, seed: int = 0, strict: bool = False
 ) -> EngineReport:
-    if k < 1:
-        raise PreconditionFailed("need k >= 1")
     cons = Constants(g.r, k)
-    n = len(g.vertices)
-    d = g.average_degree()
-    regime = {"in_regime": bool(d >= cons.c1_even * k), "c1": cons.c1_even, "c2": cons.c2_even}
-    bound = bound_even(n, d, k, cons)
-    trace: list[dict] = []
-
-    def failure(stage: str, reason: str) -> EngineReport:
-        trace.append({"stage": stage, "status": "failed", "reason": reason})
-        return EngineReport(FailureTrace(stage, reason), trace, seed, regime, bound)
-
+    report = _start(g, k, seed, cons.c1_even, cons.c2_even, 2, 0)
+    trace = report.trace
     try:
         sub, partition = r_partite_reduction(g, seed)
         trace.append({"stage": "partite", "edges": sub.num_edges()})
@@ -448,10 +457,11 @@ def even_consecutive_cycles(
         root = max_degree_root(gd)
         mert = build_mert(gd, rotate_to_root(gd, partition, root), root)
     except LincycError as err:
-        return failure("setup", str(err))
+        return report.fail("setup", str(err))
     ledger = [len(lvl) for lvl in mert.levels]
+    d = g.average_degree()
     growth = d / (64 * k * g.r ** (g.r + 2))
-    cap = layer_cap(n, d, k, cons)
+    cap = log_ratio_cap(len(g.vertices), d, k, cons.c4_part)
     trace.append({"stage": "mert", "height": mert.height, "levels": ledger,
                   "growth_factor": growth, "layer_cap": cap})
 
@@ -466,17 +476,13 @@ def even_consecutive_cycles(
             trace.append({"stage": kind, "t": t, "status": "failed", "reason": str(err)})
             continue
         trace.append({"stage": kind, "status": "fired", **info})
-        fam.validate()
-        if bound is not None and regime["in_regime"]:
-            fam.bound = bound
-            fam.validate()
-        return EngineReport(fam, trace, seed, regime, bound)
+        return report.succeed(fam)
 
-    if strict and regime["in_regime"] and cap is not None and mert.height >= cap:
+    if strict and report.regime["in_regime"] and cap is not None and mert.height >= cap:
         raise TheoremContradictionTrace(
             "in-regime input with no layer firing by the cap", ledger
         )
-    return failure("layer-scan", "no layer produced a verified family")
+    return report.fail("layer-scan", "no layer produced a verified family")
 
 
 def _even_subfamily(fam: CycleFamily, k: int) -> CycleFamily:
@@ -507,36 +513,26 @@ def _layer_candidates(mert: Mert, k: int, strict: bool):
 def consecutive_cycles(
     g: LinearHypergraph, k: int, seed: int = 0, strict: bool = False
 ) -> EngineReport:
-    if k < 1:
-        raise PreconditionFailed("need k >= 1")
     cons = Constants(g.r, k)
-    n = len(g.vertices)
-    d = g.average_degree()
-    regime = {"in_regime": bool(d >= cons.c1_all * k), "c1": cons.c1_all, "c2": cons.c2_all}
-    bound = bound_all(n, d, k, cons)
-    trace: list[dict] = []
-
-    def failure(stage: str, reason: str) -> EngineReport:
-        trace.append({"stage": stage, "status": "failed", "reason": reason})
-        return EngineReport(FailureTrace(stage, reason), trace, seed, regime, bound)
-
+    report = _start(g, k, seed, cons.c1_all, cons.c2_all, 6, 6)
+    trace = report.trace
     try:
-        core = min_degree_subgraph(g, d)
+        core = min_degree_subgraph(g, g.average_degree())
     except LincycError as err:
-        return failure("core", str(err))
+        return report.fail("core", str(err))
     delta = core.min_degree()
     theory_d = g.r**1.5 * 2 ** (2 * g.r + 2) * math.sqrt(max(delta, 1) * k)
     if theory_d <= delta / 2:
         d_eff = theory_d
     elif strict:
-        return failure("regime", f"anchor density {theory_d:.1f} exceeds delta/2 = {delta / 2}")
+        return report.fail("regime", f"anchor density {theory_d:.1f} exceeds delta/2 = {delta / 2}")
     else:
         d_eff = max(1.0, delta / 2)
     trace.append({"stage": "core", "delta": delta, "d_eff": d_eff})
     try:
         anc = anchored_subgraph(core, max_degree_root(core), d_eff, seed)
     except LincycError as err:
-        return failure("anchored", str(err))
+        return report.fail("anchored", str(err))
     trace.append({"stage": "anchored", "m": anc.m,
                   "anchors": len(anc.subgraph.vertices & anc.anchors)})
 
@@ -572,15 +568,10 @@ def consecutive_cycles(
                           "reason": str(err)})
             continue
         shortest_cert = 2 * anc.m + fam.t + 3
-        family = CycleFamily(cycles, "ALL", bound=shortest_cert)
-        family.validate()
         trace.append({"stage": "closure", "x": x, "y": y, "t": fam.t,
                       "m": anc.m, "q": pxy.length, "status": "fired"})
-        if bound is not None and regime["in_regime"]:
-            family.bound = bound
-            family.validate()
-        return EngineReport(family, trace, seed, regime, bound)
-    return failure("pan-connected", "no anchor vertex yielded a closed family")
+        return report.succeed(CycleFamily(cycles, "ALL", bound=shortest_cert))
+    return report.fail("pan-connected", "no anchor vertex yielded a closed family")
 
 
 # -- exact even length ----------------------------------------------------------
@@ -593,13 +584,19 @@ C2K_BUDGET = 5 * 10**7
 def find_c2k(g: LinearHypergraph, k: int, seed: int = 0) -> LinearCycle:
     """A linear cycle of length exactly 2k: via the even pipeline when its
     interval covers 2k, else the oracle's first witness of length 2k, found
-    within C2K_BUDGET expansions; the search stops there.
+    within C2K_BUDGET expansions; the search stops there.  A length no linear
+    cycle of g can have is answered before any search.
 
     NotFound means no such cycle exists, unless the search ran out of budget:
     then the NotFound says the search is incomplete and chains the
     BudgetExceeded as its cause."""
     if k < 2:
         raise PreconditionFailed("need k >= 2 for a cycle of length 2k")
+    # a linear cycle of length L has L(r-1) vertices, L of them of degree >= 2
+    incident = g.incident
+    connectors = sum(len(ids) >= 2 for ids in incident.values())
+    if 2 * k > min(connectors, len(incident) // (g.r - 1)):
+        raise NotFound(f"no linear cycle of length {2 * k} found")
     report = even_consecutive_cycles(g, k, seed)
     if report.success:
         for c in report.outcome.cycles:

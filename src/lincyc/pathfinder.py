@@ -18,7 +18,6 @@ from typing import Iterable, KeysView, Mapping, Optional, Sequence
 
 from .core import ColoredGraph, Edge, LinearHypergraph, LinearPath, Pair, _pair, verify_path
 from .errors import (
-    EmptyCore,
     InvariantViolation,
     NotFound,
     PreconditionFailed,
@@ -403,9 +402,10 @@ def rainbow_special_path(
     in E1 and all later edges in E2.
 
     Constructive strategy: pick a dense component L of the E2-subgraph,
-    peel it to a core F of minimum degree r*length, walk an increasing rainbow
-    path to F minimizing its first vertex, attach an E1 edge with fresh
-    colors, then grow greedily inside F.  A budgeted DFS serves as fallback.
+    peel it to a core F of minimum degree r*length, halved until L has such
+    a core, walk an increasing rainbow path to F minimizing its first vertex,
+    attach an E1 edge with fresh colors, then grow greedily inside F.  A
+    budgeted DFS serves as fallback.
     """
     set1 = {_pair(*e) for e in e1}
     set2 = {_pair(*e) for e in e2}
@@ -447,8 +447,6 @@ def _rainbow_by_proof(h, adj_h, set1, set2, length, r) -> Optional[list[int]]:
     for u, v in sorted(set2):
         adj2[u].append(v)
         adj2[v].append(u)
-    if not adj2:
-        return None
     comps = _components(adj2)
 
     def comp_avg(comp: set[int]) -> float:
@@ -456,18 +454,14 @@ def _rainbow_by_proof(h, adj_h, set1, set2, length, r) -> Optional[list[int]]:
 
     comp = max(comps, key=lambda c: (comp_avg(c), -min(c)))
     l_edges = [p for p in set2 if p[0] in comp]
+    # halve tau to the first value with a core of minimum degree tau: one at
+    # most L's degeneracy, which is at least 1 since L has an edge
+    top = degeneracy(l_edges, 2, r * length)
     tau = r * length
-    core: Optional[frozenset[int]] = None
-    order: Optional[list[int]] = None
-    while tau >= 1:
-        try:
-            peel = degenerate_ordering(l_edges, tau)
-            core, order = peel.core_vertices, peel.ordering
-            break
-        except EmptyCore:
-            tau //= 2
-    if core is None:
-        return None
+    while tau > top:
+        tau //= 2
+    peel = degenerate_ordering(l_edges, tau)
+    core, order = peel.core_vertices, peel.ordering
     pos = {v: i for i, v in enumerate(order)}
     # comp is a component of adj2, so L's neighbors of v are all of adj2[v]
     adj_l = {v: sorted(adj2[v], key=pos.__getitem__) for v in comp}
@@ -491,34 +485,19 @@ def _rainbow_by_proof(h, adj_h, set1, set2, length, r) -> Optional[list[int]]:
 
     # a core vertex s yields [s], and the core is non-empty
     base = next(p for p in map(increasing_path_from, order) if p is not None)
-
-    for _ in range(len(order) + 1):
-        colors = set()
-        for u, v in zip(base, base[1:]):
-            colors |= h.color[_pair(u, v)]
-        first = base[0]
-        # try attaching an E1 edge with fresh colors outside the path
-        for w in adj_h[first]:
-            p = _pair(first, w)
-            if p in set1 and w not in base and not (h.color[p] & colors):
-                good = [w] + base
-                return _grow_good_path(h, set2, core, adj_l, good, length)
-        # otherwise push the first index down inside L and try again
-        moved = False
-        for w in adj_l[first]:
-            if pos[w] >= pos[first] or w in base:
-                continue
-            p = _pair(first, w)
-            if h.color[p] & colors:
-                continue
-            if len(base) == length:
-                base = [w] + base[:-1]
-            else:
-                base = [w] + base
-            moved = True
-            break
-        if not moved:
-            return None
+    colors = set()
+    for u, v in zip(base, base[1:]):
+        colors |= h.color[_pair(u, v)]
+    first = base[0]
+    # attach an E1 edge with fresh colors outside the path.  Pushing the
+    # first index down inside L instead cannot help: an earlier L-neighbor w
+    # of first with fresh colors would make [w] + base an increasing rainbow
+    # path from w, which the exhaustive search from w, run before first's,
+    # would have found.
+    for w in adj_h[first]:
+        p = _pair(first, w)
+        if p in set1 and w not in base and not (h.color[p] & colors):
+            return _grow_good_path(h, set2, core, adj_l, [w] + base, length)
     return None
 
 

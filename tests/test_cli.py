@@ -4,6 +4,7 @@ subcommands, config merging, and the density sweep."""
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -183,6 +184,22 @@ def test_find_exact_length_cut_off_by_its_budget_is_an_error(tmp_path, capsys, m
     assert "incomplete" in err
 
 
+def test_find_exact_length_longer_than_any_linear_cycle_fails_at_once(tmp_path, capsys):
+    # a linear cycle of length 80 in a 3-graph needs 160 vertices: the answer
+    # is a complete "none", given before any search
+    graph = tmp_path / "g.txt"
+    code, _, _ = run(["gen", "--n", "30", "--out", str(graph), "--seed", "0"], capsys)
+    assert code == 0
+    start = time.perf_counter()
+    code, out, err = run(
+        ["find", "--input", str(graph), "--k", "40", "--mode", "c2k", "--seed", "0"], capsys
+    )
+    assert time.perf_counter() - start < 10
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {"outcome": "failure", "seed": 0,
+                               "reason": "no linear cycle of length 80 found"}
+
+
 def test_find_exact_length_below_four_is_an_error(planted_file, capsys):
     # nothing is searched for k = 1, so there is no honest failure to report
     code, out, err = run(
@@ -326,10 +343,12 @@ def test_verify_any_cycles_payload_exits_cleanly(tmp_path, capsys, fano, payload
         ["spectrum", "--input", "{graph}", "--budget", "-1"],
         ["sweep", "--n", "20", "--d-to", "2", "--d-from", "nan"],
         ["sweep", "--n", "20", "--d-from", "1", "--d-to", "inf"],
+        ["sweep", "--n", "20", "--d-to", "2", "--d-from", "-5"],
+        ["sweep", "--n", "20", "--d-from", "1", "--d-to", "0"],
     ],
     ids=["spectrum-max-len", "find-k-zero", "find-k-negative", "gen-lengths",
          "sweep-trials", "sweep-k", "sweep-points", "sweep-jobs", "spectrum-budget",
-         "sweep-d-nan", "sweep-d-inf"],
+         "sweep-d-nan", "sweep-d-inf", "sweep-d-negative", "sweep-d-zero"],
 )
 def test_bad_argument_value_is_a_usage_error(tmp_path, capsys, fano, argv):
     graph = tmp_path / "g.txt"

@@ -31,9 +31,9 @@ from lincyc import (
     transversal_cleanup,
     verify_cycle,
 )
-from lincyc.engine import _even_subfamily, bound_all, bound_even, dense_connected, layer_cap
+from lincyc.engine import _even_subfamily, dense_connected, log_ratio_cap
 from lincyc.oracle import DEFAULT_BUDGET
-from conftest import difference_projection
+from conftest import FANO_LINES, difference_projection
 
 
 @pytest.fixture(scope="module")
@@ -55,27 +55,35 @@ def test_constants_r3_k2():
     assert c.c4_part == pytest.approx(math.log2(64 * 2 * 3**5), abs=1e-12)
 
 
+def test_constants_need_k_at_least_one():
+    for k in (0, -1):
+        with pytest.raises(PreconditionFailed, match="need k >= 1"):
+            Constants(3, k)
+
+
 def test_layer_cap_arithmetic():
     c = Constants(3, 2)
     n, d = 2**20, 2 * 2**18  # d/k = 2^18
     want = math.ceil(20 / (18 - math.log2(64 * 2 * 3**5)))
-    assert layer_cap(n, d, 2, c) == want
+    assert log_ratio_cap(n, d, 2, c.c4_part) == want
 
 
 def test_bounds_none_below_gap():
     c = Constants(3, 2)
-    assert bound_even(1000, 2.0, 2, c) is None
-    assert bound_all(1000, 2.0, 2, c) is None
-    assert layer_cap(1000, 0.0, 2, c) is None
+    assert log_ratio_cap(1000, 2.0, 2, c.c2_even) is None
+    assert log_ratio_cap(1000, 2.0, 2, c.c2_all) is None
+    assert log_ratio_cap(1000, 0.0, 2, c.c4_part) is None
+    assert log_ratio_cap(1, 2 * 2**25, 2, c.c2_even) is None  # n < 2
 
 
 def test_bounds_in_regime():
+    # the pipelines' bounds: twice the even cap, six times the all cap plus 6
     c = Constants(3, 2)
     d = 2 * 2**25
-    assert bound_even(10**6, d, 2, c) == 2 * math.ceil(
+    assert 2 * log_ratio_cap(10**6, d, 2, c.c2_even) == 2 * math.ceil(
         math.log2(10**6) / (25 - c.c2_even)
     )
-    assert bound_all(10**6, d, 2, c) == 6 * math.ceil(
+    assert 6 * log_ratio_cap(10**6, d, 2, c.c2_all) + 6 == 6 * math.ceil(
         math.log2(10**6) / (25 - c.c2_all)
     ) + 6
 
@@ -196,6 +204,28 @@ def test_strict_mode_fails_cleanly_below_regime(packing150):
     assert report.regime["in_regime"] is False
 
 
+@pytest.mark.parametrize(
+    "runner,scale,shift", [(even_consecutive_cycles, 2, 0), (consecutive_cycles, 6, 6)]
+)
+def test_in_regime_success_carries_the_theorem_bound(monkeypatch, packing150, runner,
+                                                     scale, shift):
+    # c1 = 0 puts every input in regime, and c2 = log2(d/k) - log2(n)/n makes
+    # the log-ratio cap about n, a bound the family's shortest cycle meets
+    n, d, k = len(packing150.vertices), packing150.average_degree(), 2
+    c2 = math.log2(d / k) - math.log2(n) / n
+
+    class InRegime(Constants):
+        c1_even = c1_all = 0.0
+        c2_even = c2_all = c2
+
+    monkeypatch.setattr(engine, "Constants", InRegime)
+    report = runner(packing150, k, seed=0)
+    assert report.success and report.regime == {"in_regime": True, "c1": 0.0, "c2": c2}
+    assert report.bound == scale * log_ratio_cap(n, d, k, c2) + shift
+    assert report.outcome.bound == report.bound
+    assert json.loads(report.to_json())["bound"] == report.bound
+
+
 def test_failure_report_shape():
     tiny = build(3, 3, [(0, 1, 2)])
     report = even_consecutive_cycles(tiny, 2, seed=0)
@@ -294,6 +324,25 @@ def test_find_exact_even_length_missing():
         find_c2k(g, 2, seed=0)
     with pytest.raises(PreconditionFailed):
         find_c2k(g, 1, seed=0)
+
+
+def test_find_exact_even_length_beyond_every_linear_cycle_is_answered_at_once(monkeypatch):
+    # a linear cycle of length L in a 3-graph has 2L vertices, L of them of
+    # degree >= 2.  A linear C4 has 8 vertices, 4 of degree 2: length 4 is
+    # found, and length 6 is refused before the pipeline or the oracle runs.
+    # The Fano plane has 7 vertices of degree 3, too few vertices for length 4.
+    g = build(8, 3, loose_cycle(4).edges)
+    assert find_c2k(g, 2, seed=0).length == 4
+
+    def no_search(*args):
+        raise AssertionError("searched for an impossible length")
+
+    monkeypatch.setattr(engine, "even_consecutive_cycles", no_search)
+    monkeypatch.setattr(engine, "_closures", no_search)
+    with pytest.raises(NotFound, match=r"^no linear cycle of length 6 found$"):
+        find_c2k(g, 3, seed=0)
+    with pytest.raises(NotFound, match=r"^no linear cycle of length 4 found$"):
+        find_c2k(build(7, 3, FANO_LINES), 2, seed=0)
 
 
 def first_witness_of_length(g, length, budget=DEFAULT_BUDGET):

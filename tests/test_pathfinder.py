@@ -15,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lincyc.core
+import lincyc.pathfinder
 import lincyc.reductions
 from lincyc import (
+    ColoredGraph,
     EmptyCore,
     LincycError,
     NotFound,
@@ -25,6 +27,7 @@ from lincyc import (
     anchored_subgraph,
     bfs_layers,
     build,
+    degenerate_ordering,
     dense_layer_subgraph,
     greedy_partial_steiner,
     min_degree_subgraph,
@@ -535,3 +538,62 @@ def test_rainbow_agrees_with_exhaustive_search():
         check_rainbow_special(h, {tuple(sorted(e)) for e in e1}, path, 3)
         assert rainbow_path_exists(h, e1, e2, 3)
     assert hits > 0
+
+
+# -- the proof-based search peels once -------------------------------------------------------
+
+
+def halving_peel(edges, tau):
+    """The proof-based search's earlier peel, kept as the reference: halve tau
+    from r*length until a core of minimum degree tau is left."""
+    while True:
+        try:
+            return tau, degenerate_ordering(edges, tau)
+        except EmptyCore:
+            tau //= 2
+
+
+def assert_single_peel(h, e1, e2, length):
+    calls = []
+
+    def recording(edges, d):
+        calls.append((list(edges), d))
+        return degenerate_ordering(edges, d)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lincyc.pathfinder, "degenerate_ordering", recording)
+        try:
+            rainbow_special_path(h, e1, e2, length, best_effort=True)
+        except NotFound:
+            pass
+    assert len(calls) == 1
+    edges, d = calls[0]
+    r = len(next(iter(h.color.values()))) + 2
+    assert (d, degenerate_ordering(edges, d)) == halving_peel(edges, r * length)
+
+
+@pytest.mark.parametrize("q,length,seed", [(8, 3, 0), (8, 2, 5), (12, 4, 1), (24, 2, 2)])
+def test_proof_search_peels_once_at_the_halving_tau(q, length, seed):
+    # tau starts at r*length = 3*length: the cases at q = 8 and 12 halve it
+    # (to 4, 3 and 6), and the one at q = 24 keeps 6
+    h = difference_projection(q, seed=seed)
+    e1, e2 = split_edges(h, seed=seed + 10)
+    assert_single_peel(h, e1, e2, length)
+
+
+@st.composite
+def colored_splits(draw):
+    n = draw(st.integers(3, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=2, unique=True))
+    color = {e: frozenset({draw(st.integers(n, n + 3))}) for e in edges}
+    h = ColoredGraph(frozenset(v for e in edges for v in e), tuple(sorted(edges)), color)
+    shuffled = draw(st.permutations(edges))
+    cut = draw(st.integers(1, len(edges) - 1))
+    return h, shuffled[:cut], shuffled[cut:], draw(st.integers(2, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(colored_splits())
+def test_proof_search_peels_once_on_random_graphs(case):
+    assert_single_peel(*case)
