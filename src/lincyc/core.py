@@ -2,20 +2,24 @@
 
 Vertices are dense integer ids 0..n-1.  Edges are stored as sorted tuples,
 deduplicated and ordered lexicographically, so the same edge set always
-produces the same object.  Graphs from outside the package are validated
-(uniformity, range, linearity): the constructor, `build`, `from_text` and
+produces the same object.  An edge given as a sorted plain tuple is stored as
+given, so a graph built from another graph's edges shares their tuples.
+Graphs from outside the package are validated (uniformity, range,
+linearity): the constructor, `build`, `from_text` and
 `from_json`/`from_json_obj` all go through it, and so does `plant_cycles`.
 Everything else is assembled by `_assembled`, which only sets the fields:
 `induced` and `edge_induced` cut subgraphs, linear too, from a validated
 parent, and the packing and sparsifying generators assemble their output from
 their own invariants.  Either way the two indexes, ``incident`` and
 ``edge_set``, are built on their first read, since most graphs never read
-them.  All objects are immutable after construction.
+them; the witness checks read neither, as a binary search over the sorted
+edges finds each witness edge.  All objects are immutable after construction.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -69,7 +73,9 @@ class LinearHypergraph:
             t = tuple(sorted(e))
             if len(t) != r or len(set(t)) != r:
                 raise NonUniformEdge(t, r)
-            norm.add(t)
+            # keep a caller's canonical tuple, often another graph's edge,
+            # rather than a second copy of it
+            norm.add(e if type(e) is tuple and e == t else t)
         self.n = n
         self.r = r
         self.edges: tuple[Edge, ...] = tuple(sorted(norm))
@@ -456,9 +462,15 @@ def _check_sequence(g: LinearHypergraph, edges: Sequence[Iterable[int]],
     es = tuple(tuple(sorted(e)) for e in edges)
     if len(set(es)) != len(es):
         raise InvalidWitness("repeated edge in witness")
-    edge_set = g.edge_set
+    # g.edges is sorted, so a binary search finds each edge without building
+    # g.edge_set on the caller's graph for one short witness
+    g_edges = g.edges
     for idx, e in enumerate(es):
-        if e not in edge_set:
+        try:
+            i = bisect_left(g_edges, e)
+        except TypeError:  # entries that do not compare with ints
+            i = len(g_edges)
+        if i == len(g_edges) or g_edges[i] != e:
             raise InvalidWitness(f"edge #{idx} {e} is not an edge of the graph")
     t = len(es)
     for a in range(t):

@@ -38,7 +38,7 @@ from .errors import (
     TheoremContradictionTrace,
 )
 from .mert import Mert, anchor_and_label, build_mert, expand_tree_path
-from .oracle import _closures
+from .oracle import _closures, _cycle_length_cap
 from .pathfinder import _components, anchored_subgraph, pan_connected, rainbow_special_path
 from .reductions import (
     bfs_layers,
@@ -592,10 +592,7 @@ def find_c2k(g: LinearHypergraph, k: int, seed: int = 0) -> LinearCycle:
     BudgetExceeded as its cause."""
     if k < 2:
         raise PreconditionFailed("need k >= 2 for a cycle of length 2k")
-    # a linear cycle of length L has L(r-1) vertices, L of them of degree >= 2
-    incident = g.incident
-    connectors = sum(len(ids) >= 2 for ids in incident.values())
-    if 2 * k > min(connectors, len(incident) // (g.r - 1)):
+    if 2 * k > _cycle_length_cap(g):
         raise NotFound(f"no linear cycle of length {2 * k} found")
     report = even_consecutive_cycles(g, k, seed)
     if report.success:

@@ -297,7 +297,9 @@ def plant_cycles(
         planted.append(cyc)
 
     rng = random.Random(seed)
-    target_extra = int(background_density * n / r)
+    # a linear r-graph on n vertices holds at most C(n,2)/C(r,2) edges, so a
+    # larger target, an infinite one too, would only spend draws
+    target_extra = int(min(background_density * n / r, n * (n - 1) / (r * (r - 1))))
     if target_extra > 0:
         used_pairs = {
             (u, v) for e in edges for u, v in combinations(e, 2)

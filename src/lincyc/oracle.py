@@ -59,10 +59,20 @@ class Spectrum:
         return json.dumps(self.to_json_obj(), sort_keys=True)
 
 
+def _cycle_length_cap(g: LinearHypergraph) -> int:
+    """No linear cycle of g is longer than this.  A cycle of length L has
+    L(r-1) vertices, L of them connectors, of degree >= 2."""
+    incident = g.incident
+    connectors = sum(len(ids) >= 2 for ids in incident.values())
+    return min(connectors, len(incident) // (g.r - 1))
+
+
 def _closures(g: LinearHypergraph, max_len: int, budget: int):
     """Yield ``(chain, eid)`` for each cycle of length <= max_len, in witness
     order: the edge ids ``chain`` in path order, closed by edge ``eid``.
     Raises BudgetExceeded at the first expansion past ``budget``."""
+    if max_len < 3:
+        return  # every linear cycle has at least 3 edges
     edges = g.edges
     incident = g.incident
     sets = [set(e) for e in edges]  # one per edge, so new pivots keep their order
@@ -144,14 +154,15 @@ def enumerate_cycles(
 ) -> Spectrum:
     """Lengths of the linear cycles of length <= max_len, each cycle appended
     to ``witnesses`` in the order above.  Past ``budget`` expansions it raises
-    BudgetExceeded carrying the partial spectrum."""
+    BudgetExceeded carrying the partial spectrum.  The search stops at
+    _cycle_length_cap(g) when that is shorter: no deeper chain can close."""
     if max_len < 3:
         raise PreconditionFailed("max_len must be at least 3")
     lengths: set[int] = set()
     counts: dict[int, int] = {}
     edges = g.edges
     try:
-        for chain, eid in _closures(g, max_len, budget):
+        for chain, eid in _closures(g, min(max_len, _cycle_length_cap(g)), budget):
             t = len(chain) + 1
             lengths.add(t)
             counts[t] = counts.get(t, 0) + 1

@@ -14,7 +14,7 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, KeysView, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import ColoredGraph, Edge, LinearHypergraph, LinearPath, Pair, _pair, verify_path
 from .errors import (
@@ -56,9 +56,7 @@ def dense_layer_subgraph(
     delta <= 2 and d = 1; then W has average degree at least 1 > d/4 and
     wins as m=1.
     """
-    delta = g.min_degree()
-    if not (1 <= d <= delta / 2):
-        raise PreconditionFailed(f"need 1 <= d <= delta/2, got d={d}, delta={delta}")
+    delta = _layer_delta(g, d)
     lay = layers if layers is not None else bfs_layers(g, x)
     top = min(layer_index_bound(len(g.vertices), delta / d), len(lay.layers) - 1)
     dist, r = lay.dist, g.r
@@ -84,6 +82,15 @@ def dense_layer_subgraph(
             if _average_degree(es, r) >= d / 4:
                 return m, g._cut(tuple(es), frozenset(chain.from_iterable(es)))
     raise NotFound("no dense layer subgraph; check preconditions")
+
+
+def _layer_delta(g: LinearHypergraph, d: float) -> int:
+    """g's minimum degree delta, once d meets the layer precondition
+    1 <= d <= delta/2."""
+    delta = g.min_degree()
+    if not (1 <= d <= delta / 2):
+        raise PreconditionFailed(f"need 1 <= d <= delta/2, got d={d}, delta={delta}")
+    return delta
 
 
 def _average_degree(edges: Sequence[Edge], r: int) -> float:
@@ -136,6 +143,7 @@ def anchored_subgraph(
     RetriesExhausted if no draw was kept.  The draws the first three skip
     would only have advanced the call's own random generator.
     """
+    _layer_delta(g, d)  # a density the layer search refuses needs no BFS
     lay = bfs_layers(g, x)
     m, h = dense_layer_subgraph(g, x, d, lay)
     v_m = sorted(h.vertices & lay.layer(m))
@@ -188,14 +196,25 @@ def anchored_subgraph(
         ok_ys = [v for v in ys if ys.isdisjoint(siblings[v])]
         nice = [eid for v in ok_ys for eid in own[v]]
         nice += [eid for v in ok_ys for eid in multi_at[v] if held[eid] == 1]
-        kept, low, fv = _own_core(h_edges, h_incident, nice, g.r)
+        kept, low, deg = _own_core(h_edges, h_incident, nice, g.r)
+        fv = deg.keys()  # a live view: it follows deg through the repair
         anchors = frozenset(ys)
         # one repair pass drops every edge at a sibling in V(F) of an anchor
-        # in V(F), after which none is left (P3)
+        # in V(F), after which none is left (P3).  deg holds the core's
+        # degrees, so taking the dropped edges off it counts what is left
         bad = {u for v in fv & anchors for u in siblings[v] if u in fv}
         if bad:
-            kept = [eid for eid in kept if bad.isdisjoint(h_edges[eid])]
-            kept, low, fv = _own_core(h_edges, h_incident, kept, g.r)
+            live = set(kept)
+            for u in bad:
+                for eid in h_incident[u]:
+                    if eid in live:
+                        live.remove(eid)
+                        for w in h_edges[eid]:
+                            deg[w] -= 1
+                            if not deg[w]:
+                                del deg[w]
+            kept = [eid for eid in kept if eid in live]
+            kept, low, _ = _own_core(h_edges, h_incident, kept, g.r, deg)
         if not kept or low < threshold:
             continue
         # only a draw that is kept or returned becomes a graph, and is checked
@@ -220,15 +239,17 @@ def anchored_subgraph(
 
 
 def _own_core(edges: Sequence[Edge], incident: Mapping[int, Sequence[int]], ids: list[int],
-              r: int) -> tuple[list[int], int, KeysView[int]]:
+              r: int, deg: Optional[Counter] = None) -> tuple[list[int], int, Counter]:
     """The core of the edges with ids ids at their own average degree, its
-    ids, its minimum degree and its vertex set, from one count of the edges
-    and a peel on the incidence of all of edges."""
-    deg = Counter(chain.from_iterable(map(edges.__getitem__, ids)))
+    ids, its minimum degree and its degrees, keyed by its vertex set, from a
+    peel on the incidence of all of edges.  deg, the degrees of the edges
+    with ids ids, is counted when None and is peeled in place."""
+    if deg is None:
+        deg = Counter(chain.from_iterable(map(edges.__getitem__, ids)))
     if not deg:
-        return ids, 0, deg.keys()
+        return ids, 0, deg
     kept, low = _counted_core(edges, ids, incident, deg, r, r * len(ids) / len(deg))
-    return kept, low, deg.keys()
+    return kept, low, deg
 
 
 def _anchored_ok(edges: Sequence[Edge], anchors: frozenset[int], lay: BfsLayers, m: int) -> bool:

@@ -320,7 +320,8 @@ def r_partite_reduction(
     r = g.r
     target = math.factorial(r) / r**r * len(g.edges)
     verts = sorted(g.vertices)
-    edges, incident = g.edges, g.incident
+    # a local incidence, like min_degree_core's, leaves none on the caller's g
+    edges, incident = g.edges, _incidence(g.edges)
     rng = random.Random(seed)
     for _ in range(RESTARTS):
         labels = [i % r for i in range(len(verts))]

@@ -3,6 +3,7 @@ subcommands, config merging, and the density sweep."""
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 
@@ -10,7 +11,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lincyc import LinearHypergraph, cli, engine, enumerate_cycles, greedy_partial_steiner
+from lincyc import (
+    LinearHypergraph,
+    cli,
+    engine,
+    enumerate_cycles,
+    generators,
+    greedy_partial_steiner,
+)
 from lincyc.core import MAX_PARSED_VERTICES
 from conftest import FANO_LINES
 
@@ -442,3 +450,93 @@ def test_sweep_csv_and_monotone_smoke(tmp_path, capsys):
     succ = [int(r[2]) for r in rows]
     # success rate rises with density, up to sampling noise
     assert spearman(ds, succ) > 0
+
+
+# -- any argv ------------------------------------------------------------------------------
+#
+# argv for each subcommand, drawn from its flag grammar with edge values: 0,
+# negative and huge numbers, NaN and infinities, ids out of range, and empty,
+# one-edge and malformed graphs.  Whatever the draw, the CLI exits 0, 1 or 2 and
+# prints no traceback.  n stays at 40 or below, --jobs at 1, and every search
+# budget is small, so no example starts a process or runs long.
+
+HUGE = str(10**30)
+# mostly values the parser accepts, so most draws reach the program itself
+FLOATS = ["1", "2.5", "0.5", "6", "1e308", "0", "-0.5", "nan", "inf"]
+SEEDS = ["0", "7", "-3", HUGE, "x"]
+GRAPHS = {
+    "fano": LinearHypergraph(7, 3, FANO_LINES).to_text(),
+    "fano-json": LinearHypergraph(7, 3, FANO_LINES).to_json(),
+    "packing": greedy_partial_steiner(40, 3, seed=0).to_text(),
+    "empty": "3 5 0\n",
+    "one-edge": "3 3 1\n0 1 2\n",
+    "stray-id": "3 4 1\n0 1 7\n",
+    "negative-id": "3 4 1\n-1 1 2\n",
+    "huge-n": f"3 {HUGE} 0\n",
+    "header-only": "3 7\n",
+}
+CYCLES = {
+    "cycles-fano-triangle": [[[0, 1, 2], [2, 3, 6], [0, 3, 4]]],
+    "cycles-out-of-range": [[[0, 1, 2], [2, 3, 10**30], [0, 3, -4]]],
+    "cycles-none": [],
+    "cycles-one-edge": [[[0, 1, 2]]],
+    "cycles-ragged": [[[0, 1], [1, 2, 3, 4], []]],
+}
+
+
+def _given(name, values):
+    return st.sampled_from(values).map(lambda v: [name, v])
+
+
+def _maybe(name, values):
+    return st.just([]) | _given(name, values)
+
+
+def _argv(command, *parts):
+    return st.tuples(st.just([command]), *parts).map(lambda ps: [a for p in ps for a in p])
+
+
+def _files(flag, names):
+    return st.sampled_from(sorted(names) + ["missing"]).map(lambda f: [flag, "{%s}" % f])
+
+
+seeds = _maybe("--seed", SEEDS)
+cli_argv = st.one_of(
+    _argv("find", _files("--input", GRAPHS), _given("--k", ["2", "3", "1", "4", "0", "-1", HUGE]),
+          _maybe("--mode", ["all", "even", "c2k"]),
+          st.sampled_from([[], ["--strict"]]), st.sampled_from([[], ["--json"]]), seeds),
+    _argv("spectrum", _files("--input", GRAPHS),
+          _maybe("--max-len", ["3", "6", "10", HUGE, "2", "-1"]),
+          _given("--budget", ["1", "50", "2000", "0"]), seeds),
+    _argv("gen", _given("--n", ["24", "40", "7", "3", "0", "-1", "1"]),
+          _maybe("--r", ["3", "4", "2", "1", "0", "-7", "41", HUGE]),
+          _maybe("--mode", ["steiner", "sparsified", "planted"]),
+          _maybe("--d", FLOATS), _maybe("--girth-floor", ["3", "5", "2", "0", "-1", HUGE]),
+          _maybe("--lengths", ["3", "3,5", "4,4", "", "0", "-3", "100", HUGE]),
+          _maybe("--background-density", FLOATS), seeds),
+    _argv("sweep", _given("--n", ["24", "40", "7", "0", "-1", "1"]),
+          _maybe("--r", ["3", "4", "2", "1", "-1", HUGE]), _maybe("--k", ["2", "1", "3", "0", HUGE]),
+          _given("--d-from", FLOATS), _given("--d-to", FLOATS),
+          _given("--points", ["1", "2", "3", "0"]), _given("--trials", ["1", "2", "0"]),
+          _given("--jobs", ["1"]), _maybe("--mode", ["all", "even"]), seeds),
+    _argv("verify", _files("--input", GRAPHS), _files("--cycles", CYCLES), seeds),
+    _argv("mert", _files("--input", GRAPHS), _maybe("--root", ["0", "3", "-1", "40", HUGE]), seeds),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cli_argv)
+def test_any_argv_exits_cleanly(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(engine, "C2K_BUDGET", 2000)
+    monkeypatch.setattr(generators, "enumerate_cycles",
+                        functools.partial(enumerate_cycles, budget=20000))
+    paths = {"missing": str(tmp_path / "missing")}
+    for name, text in GRAPHS.items():
+        paths[name] = str(tmp_path / f"{name}.txt")
+        (tmp_path / f"{name}.txt").write_text(text)
+    for name, payload in CYCLES.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    code, _, err = run([a.format(**paths) for a in argv], capsys)
+    assert code in (0, 1, 2) and "Traceback" not in err

@@ -6,6 +6,7 @@ from __future__ import annotations
 import copy
 import json
 import pickle
+from collections import namedtuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +26,8 @@ from lincyc import (
     TooLarge,
     VertexOutOfRange,
     build,
+    consecutive_cycles,
+    even_consecutive_cycles,
     greedy_partial_steiner,
     project,
     r_partite_reduction,
@@ -283,6 +286,39 @@ def test_verify_rejects_foreign_edge(fano):
         verify_cycle(fano, [(0, 1, 2), (2, 3, 4), (0, 4, 5)])
 
 
+# The witness checks find each edge by binary search over the sorted edges, so
+# a foreign edge past either end of them, or one whose entries do not compare
+# with ints, must fail as a missing edge too.
+
+
+FOREIGN_EDGES = {
+    "before-the-first": (-3, -2, -1),
+    "between": (0, 1, 3),
+    "after-the-last": (7, 8, 9),
+    "strings": ("a", "b", "c"),
+    "float": (0.5, 1, 2),
+}
+
+
+def test_foreign_edges_fall_where_they_are_named(fano):
+    assert FOREIGN_EDGES["before-the-first"] < fano.edges[0]
+    assert fano.edges[0] < FOREIGN_EDGES["between"] < fano.edges[-1]
+    assert FOREIGN_EDGES["after-the-last"] > fano.edges[-1]
+    with pytest.raises(TypeError):
+        FOREIGN_EDGES["strings"] < fano.edges[0]
+
+
+@pytest.mark.parametrize("kind", FOREIGN_EDGES)
+def test_verify_rejects_an_edge_outside_the_sorted_edges(fano, kind):
+    foreign, rest = FOREIGN_EDGES[kind], [(2, 3, 6), (0, 3, 4)]
+    for witness in ([foreign] + rest, rest + [foreign]):
+        message = rf"edge #{witness.index(foreign)} .* is not an edge of the graph"
+        with pytest.raises(InvalidWitness, match=message):
+            verify_cycle(fano, witness)
+        with pytest.raises(InvalidWitness, match=message):
+            verify_path(fano, witness)
+
+
 # mostly the graph's own vertices and edges, so every check of the verifier is reached
 witness_ints = st.integers(-2, 8) | st.integers()
 witness_edges = st.sampled_from(FANO_LINES).map(list) | st.lists(witness_ints, max_size=4)
@@ -464,6 +500,52 @@ def test_equality_and_hashing_read_no_index(kind):
     assert g == h and hash(g) == hash(h) and len({g, h}) == 1
     assert g != build(7, 3, [(0, 1, 2)])
     assert not any(is_built(x, name) for x in (g, h) for name in INDEXES)
+
+
+# -- the caller's graph and edges --------------------------------------------------
+#
+# The constructor keeps an edge given as a sorted plain tuple, so a graph built
+# from another graph's edges shares their tuples; any other edge becomes a new
+# sorted plain tuple.  Neither pipeline nor the witness checks leave an index
+# on the graph they are given.
+
+
+def test_a_graph_built_from_another_graphs_edges_shares_their_tuples():
+    base = greedy_partial_steiner(60, 3, seed=2, effort=1.0)
+    picked = base.edges[::3]
+    for g in (LinearHypergraph(base.n, 3, picked), build(base.n, 3, reversed(picked))):
+        assert g.edges == picked
+        assert all(a is b for a, b in zip(g.edges, picked))
+
+
+Row = namedtuple("Row", "a b c")
+
+
+@pytest.mark.parametrize("shape", ["list", "unsorted-tuple", "namedtuple"])
+def test_other_edges_become_new_sorted_plain_tuples(shape):
+    rows = {"list": lambda e: list(e)[::-1],
+            "unsorted-tuple": lambda e: tuple(e)[::-1],
+            "namedtuple": lambda e: Row(*e)}[shape]
+    given = [rows(e) for e in FANO_LINES]
+    g = LinearHypergraph(7, 3, given)
+    assert g.edges == tuple(sorted(FANO_LINES))
+    assert all(type(e) is tuple for e in g.edges)
+    assert not any(e is row for e in g.edges for row in given)
+    if shape == "list":
+        for row in given:
+            row[:] = [0, 0, 0]
+        assert g.edges == tuple(sorted(FANO_LINES))
+
+
+def test_pipelines_and_witness_checks_leave_the_callers_graph_bare():
+    g = greedy_partial_steiner(150, 3, seed=0)
+    for pipeline in (even_consecutive_cycles, consecutive_cycles):
+        report = pipeline(g, 2, seed=0)
+        assert report.success
+        for cycle in report.outcome.cycles:
+            verify_cycle(g, cycle.edges)
+            verify_path(g, cycle.edges[1:])
+        assert not any(is_built(g, name) for name in INDEXES)
 
 
 # -- cycle families ---------------------------------------------------------------

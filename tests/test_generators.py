@@ -397,6 +397,14 @@ def test_plant_background_keeps_linearity():
         verify_cycle(g, w.edges)
 
 
+@pytest.mark.parametrize("density", [1e308, math.inf])
+def test_plant_background_past_what_a_linear_graph_holds_is_capped(density):
+    # C(24,2)/C(3,2) = 92 edges, background degree 23/2, is all a linear
+    # 3-graph on 24 vertices can hold: a larger density asks for that many
+    at_cap = plant_cycles(24, 3, [4], background_density=23 / 2, seed=1)
+    assert plant_cycles(24, 3, [4], background_density=density, seed=1) == at_cap
+
+
 # -- generate dispatch ---------------------------------------------------------------------
 
 

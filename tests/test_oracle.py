@@ -3,6 +3,7 @@ independent subset-based recount on tiny instances."""
 
 from __future__ import annotations
 
+import json
 import random
 from itertools import combinations, permutations
 
@@ -112,8 +113,6 @@ def test_rejects_small_cap(fano):
 
 
 def test_spectrum_json(fano):
-    import json
-
     obj = json.loads(enumerate_cycles(fano, 5).to_json())
     assert set(obj) == {"L", "lengths", "counts", "complete"}
     assert obj["complete"] is True
@@ -127,7 +126,8 @@ def test_spectrum_json(fano):
 # and extending alike.  With prune=True it also skips what the oracle skips: a
 # closing edge holds a and comes after the second edge, so a first edge with no
 # later edge at a, or a second edge at or above the last edge at a, closes nothing.
-# Complete runs must be identical to the plain scan: witness order and counts.
+# Nor does it grow a chain past the longest cycle g can hold: one of length L has
+# L(r-1) vertices, L of them of degree >= 2.  Complete runs must be identical to the plain scan: witness order and counts.
 # Pruned subtrees spend no budget, so a budgeted run records a prefix of the
 # complete list at least as long as the plain scan's, and exactly the pruned
 # scan's, which counts one expansion per popped state as the oracle does.
@@ -141,6 +141,13 @@ def naive_enumerate_cycles(g, max_len, budget=DEFAULT_BUDGET, count=False, witne
     counts: dict[int, int] = {}
     expansions = 0
     edges = g.edges
+    reach = max_len
+    if prune:
+        support = {v for e in edges for v in e}
+        connectors = [v for v in support if len(g.incident[v]) >= 2]
+        reach = min(max_len, len(connectors), len(support) // (g.r - 1))
+        if reach < 3:
+            return Spectrum(max_len, lengths, {}, complete=True)
     for start in range(len(edges)):
         e1 = edges[start]
         e1_set = set(e1)
@@ -179,7 +186,7 @@ def naive_enumerate_cycles(g, max_len, budget=DEFAULT_BUDGET, count=False, witne
                             continue
                         if inter != {pivot}:
                             continue
-                        if depth + 1 >= max_len:
+                        if depth + 1 >= reach:
                             continue
                         if prune and depth == 1 and eid >= last:
                             continue
@@ -238,6 +245,27 @@ def test_lookup_enumeration_matches_the_scan(case):
     assert outcome(enumerate_cycles, g, max_len) == complete
     assert outcome(naive_enumerate_cycles, g, max_len, prune=True) == complete
     assert_budgeted_prefix(g, max_len, budget, complete[2])
+
+
+def test_the_search_stops_at_the_longest_cycle_the_graph_can_hold():
+    # a triangle with a pendant edge: three vertices of degree 2 or more, so
+    # no cycle is longer than 3, and a search to 10 spends what one to 3 does;
+    # past length 3 it would spend 12 expansions, not 10
+    g = build(9, 3, [(0, 1, 3), (0, 2, 5), (1, 2, 4), (2, 7, 8)])
+    for budget in range(1, 14):
+        stopped, spec, found = outcome(enumerate_cycles, g, 10, budget)
+        short = outcome(enumerate_cycles, g, 3, budget)
+        assert (stopped, found) == (short[0], short[2])
+        assert json.loads(spec) == {**json.loads(short[1]), "L": 10}
+        assert stopped == (budget < 10)
+
+
+def test_a_graph_too_small_for_any_cycle_spends_no_budget():
+    # two edges at one vertex: one vertex of degree 2, so no cycle at all
+    g = build(5, 3, [(0, 1, 2), (2, 3, 4)])
+    spec = enumerate_cycles(g, 10, budget=1)
+    assert (spec.max_len, spec.lengths, spec.complete) == (10, set(), True)
+    assert girth(g, 8) is None
 
 
 @pytest.mark.parametrize("n", [25, 30, 35])
