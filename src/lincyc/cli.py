@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="success rate vs average degree (CSV)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, default=3)
+    p.add_argument("--r", type=_int_at_least(2), default=3)
     p.add_argument("--k", type=_int_at_least(1), default=2)
     p.add_argument("--d-from", type=_positive_float, required=True)
     p.add_argument("--d-to", type=_positive_float, required=True)

@@ -44,6 +44,7 @@ from .reductions import (
     bfs_layers,
     d_minimal,
     degenerate_ordering,
+    log_ratio_cap,
     max_degree_root,
     min_degree_subgraph,
     r_partite_reduction,
@@ -92,15 +93,6 @@ class Constants:
     @property
     def c4_part(self) -> float:
         return math.log2(64 * self.k * self.r ** (self.r + 2))
-
-
-def log_ratio_cap(n: int, d: float, k: int, c: float) -> Optional[int]:
-    """ceil(log2 n / (log2(d/k) - c)), or None when that gap is not positive
-    or n < 2.  Both theorems' bounds and the layer cap are multiples of it."""
-    gap = math.log2(d / k) - c if d > 0 else 0.0
-    if gap <= 0 or n < 2:
-        return None
-    return math.ceil(math.log2(n) / gap)
 
 
 @dataclass
@@ -543,12 +535,14 @@ def consecutive_cycles(
             trace.append({"stage": "pan-connected", "x": x, "status": "failed",
                           "reason": str(err)})
             continue
+        # f is an edge of F, so it holds exactly one anchor (P1), and the
+        # nested search's edges lie at layer >= 1 from x (P2), so not x
         ys = anc.anchors & set(fam.f)
-        if len(ys) != 1:
-            continue
+        if len(ys) != 1 or x in ys:
+            raise InvariantViolation(
+                f"edge {list(fam.f)} holds anchors {sorted(ys)}, not one other than {x}"
+            )
         (y,) = ys
-        if y == x:
-            continue
         union = set(anc.witness_paths[x].edges) | set(anc.witness_paths[y].edges)
         lay = bfs_layers(core.edge_induced(union), x)
         # both witness paths start at the root and m >= 1, so y is reachable
@@ -577,15 +571,16 @@ def consecutive_cycles(
 # -- exact even length ----------------------------------------------------------
 
 
-# DFS node expansions the oracle fallback of find_c2k may spend
+# DFS node expansions find_c2k's oracle search may spend
 C2K_BUDGET = 5 * 10**7
 
 
 def find_c2k(g: LinearHypergraph, k: int, seed: int = 0) -> LinearCycle:
-    """A linear cycle of length exactly 2k: via the even pipeline when its
-    interval covers 2k, else the oracle's first witness of length 2k, found
-    within C2K_BUDGET expansions; the search stops there.  A length no linear
-    cycle of g can have is answered before any search.
+    """A linear cycle of length exactly 2k: the oracle's first witness of
+    length 2k, found within C2K_BUDGET expansions; the search stops there.
+    A length no linear cycle of g can have is answered before any search.
+    The answer depends on (g, k) alone: seed is accepted for the callers that
+    pass one and is unused by the search.
 
     NotFound means no such cycle exists, unless the search ran out of budget:
     then the NotFound says the search is incomplete and chains the
@@ -594,11 +589,6 @@ def find_c2k(g: LinearHypergraph, k: int, seed: int = 0) -> LinearCycle:
         raise PreconditionFailed("need k >= 2 for a cycle of length 2k")
     if 2 * k > _cycle_length_cap(g):
         raise NotFound(f"no linear cycle of length {2 * k} found")
-    report = even_consecutive_cycles(g, k, seed)
-    if report.success:
-        for c in report.outcome.cycles:
-            if c.length == 2 * k:
-                return c
     edges = g.edges
     try:
         for chain, eid in _closures(g, 2 * k, C2K_BUDGET):

@@ -9,7 +9,6 @@ re-validates through the core witness checkers.
 
 from __future__ import annotations
 
-import math
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -23,16 +22,17 @@ from .errors import (
     PreconditionFailed,
     RetriesExhausted,
 )
-from .reductions import BfsLayers, _counted_core, bfs_layers, degenerate_ordering, degeneracy
+from .reductions import (
+    BfsLayers,
+    _counted_core,
+    bfs_layers,
+    degenerate_ordering,
+    degeneracy,
+    log_ratio_cap,
+)
 
 
 # -- dense layer subgraph ------------------------------------------------------
-
-
-def layer_index_bound(n: int, ratio: float) -> int:
-    if ratio <= 1 or n <= 1:
-        return max(1, n)
-    return max(1, math.ceil(math.log2(max(n, 2)) / math.log2(ratio)))
 
 
 def dense_layer_subgraph(
@@ -58,7 +58,9 @@ def dense_layer_subgraph(
     """
     delta = _layer_delta(g, d)
     lay = layers if layers is not None else bfs_layers(g, x)
-    top = min(layer_index_bound(len(g.vertices), delta / d), len(lay.layers) - 1)
+    # the precondition gives delta/d >= 2, and g has an edge, so n >= 2: the
+    # cap is a positive int, the same as ceil(log2 n / log2(delta/d))
+    top = min(log_ratio_cap(len(g.vertices), delta / d, 1, 0), len(lay.layers) - 1)
     dist, r = lay.dist, g.r
     at: list[list[Edge]] = [[] for _ in range(top + 1)]
     up: list[list[Edge]] = [[] for _ in range(top + 1)]

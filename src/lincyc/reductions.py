@@ -252,6 +252,16 @@ def bfs_layers(g: LinearHypergraph, x: int) -> BfsLayers:
     return BfsLayers(x, dist, parent_vertex, parent_edge)
 
 
+def log_ratio_cap(n: int, d: float, k: int, c: float) -> Optional[int]:
+    """ceil(log2 n / (log2(d/k) - c)), or None when that gap is not positive
+    or n < 2.  Both theorems' bounds, the even pipeline's layer cap and the
+    dense layer's index bound are instances of it."""
+    gap = math.log2(d / k) - c if d > 0 else 0.0
+    if gap <= 0 or n < 2:
+        return None
+    return math.ceil(math.log2(n) / gap)
+
+
 # -- d-minimal subgraphs ------------------------------------------------------
 
 

@@ -353,10 +353,13 @@ def test_verify_any_cycles_payload_exits_cleanly(tmp_path, capsys, fano, payload
         ["sweep", "--n", "20", "--d-from", "1", "--d-to", "inf"],
         ["sweep", "--n", "20", "--d-to", "2", "--d-from", "-5"],
         ["sweep", "--n", "20", "--d-from", "1", "--d-to", "0"],
+        ["sweep", "--n", "20", "--d-from", "1", "--d-to", "2", "--r", "1"],
+        ["sweep", "--n", "20", "--d-from", "1", "--d-to", "2", "--r", "0"],
     ],
     ids=["spectrum-max-len", "find-k-zero", "find-k-negative", "gen-lengths",
          "sweep-trials", "sweep-k", "sweep-points", "sweep-jobs", "spectrum-budget",
-         "sweep-d-nan", "sweep-d-inf", "sweep-d-negative", "sweep-d-zero"],
+         "sweep-d-nan", "sweep-d-inf", "sweep-d-negative", "sweep-d-zero",
+         "sweep-r-1", "sweep-r-0"],
 )
 def test_bad_argument_value_is_a_usage_error(tmp_path, capsys, fano, argv):
     graph = tmp_path / "g.txt"

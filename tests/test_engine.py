@@ -6,7 +6,6 @@ from __future__ import annotations
 import copy
 import json
 import math
-from types import SimpleNamespace
 
 import pytest
 
@@ -16,8 +15,10 @@ from lincyc import (
     BudgetExceeded,
     Constants,
     CycleFamily,
+    InvariantViolation,
     LinearCycle,
     NotFound,
+    PanConnectedFamily,
     PreconditionFailed,
     RPartition,
     build,
@@ -179,6 +180,21 @@ def test_all_pipeline_success(packing150, k):
     assert fam.shortest <= 2 * closing["m"] + closing["t"] + 3
 
 
+@pytest.mark.parametrize("anchors_in_f", ["x", "none"])
+def test_closure_refuses_a_last_edge_without_one_other_anchor(monkeypatch, packing150,
+                                                              anchors_in_f):
+    # the nested family's last edge f lies in F, so it holds exactly one
+    # anchor (P1), and at layer >= 1 from x (P2), so not x: a family breaking
+    # either is an invariant violation, not an anchor to skip
+    def broken(f, x, k, seed, best_effort):
+        last = (x,) if anchors_in_f == "x" else ()
+        return PanConnectedFamily(1, (), last, {})
+
+    monkeypatch.setattr(engine, "pan_connected", broken)
+    with pytest.raises(InvariantViolation, match="not one other than"):
+        consecutive_cycles(packing150, 2, seed=0)
+
+
 @pytest.mark.parametrize("k", [0, -1])
 @pytest.mark.parametrize("pipeline", [even_consecutive_cycles, consecutive_cycles])
 def test_pipelines_refuse_k_below_one(packing150, pipeline, k):
@@ -294,9 +310,28 @@ def test_find_exact_even_length():
     verify_cycle(g, c.edges)
 
 
-def test_find_exact_even_length_via_pipeline(packing150):
+def test_find_exact_even_length_in_a_packing(packing150):
     c = find_c2k(packing150, 2, seed=0)
     assert c.length == 4
+
+
+def no_pipeline_search(*args, **kwargs):
+    raise AssertionError("find_c2k ran a pipeline")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_find_exact_even_length_in_a_packing_is_the_first_oracle_witness(
+    monkeypatch, packing150, seed
+):
+    # find_c2k is one oracle search: no pipeline runs, and its answer is the
+    # oracle's first witness of length 2k whatever the seed.  The packing's
+    # complete list is far too long to hold; its first 10^3 expansions, a
+    # prefix of it, already close cycles of both lengths
+    monkeypatch.setattr(engine, "even_consecutive_cycles", no_pipeline_search)
+    monkeypatch.setattr(engine, "consecutive_cycles", no_pipeline_search)
+    for k in (2, 3):
+        want = first_witness_of_length(packing150, 2 * k, budget=10**3)
+        assert find_c2k(packing150, k, seed=seed) == want
 
 
 def loose_cycle(length: int) -> LinearCycle:
@@ -329,7 +364,7 @@ def test_find_exact_even_length_missing():
 def test_find_exact_even_length_beyond_every_linear_cycle_is_answered_at_once(monkeypatch):
     # a linear cycle of length L in a 3-graph has 2L vertices, L of them of
     # degree >= 2.  A linear C4 has 8 vertices, 4 of degree 2: length 4 is
-    # found, and length 6 is refused before the pipeline or the oracle runs.
+    # found, and length 6 is refused before the oracle runs.
     # The Fano plane has 7 vertices of degree 3, too few vertices for length 4.
     g = build(8, 3, loose_cycle(4).edges)
     assert find_c2k(g, 2, seed=0).length == 4
@@ -337,7 +372,6 @@ def test_find_exact_even_length_beyond_every_linear_cycle_is_answered_at_once(mo
     def no_search(*args):
         raise AssertionError("searched for an impossible length")
 
-    monkeypatch.setattr(engine, "even_consecutive_cycles", no_search)
     monkeypatch.setattr(engine, "_closures", no_search)
     with pytest.raises(NotFound, match=r"^no linear cycle of length 6 found$"):
         find_c2k(g, 3, seed=0)
@@ -354,17 +388,11 @@ def first_witness_of_length(g, length, budget=DEFAULT_BUDGET):
     return next(c for c in witnesses if c.length == length)
 
 
-def no_pipeline(monkeypatch):
-    failed = SimpleNamespace(success=False)
-    monkeypatch.setattr(engine, "even_consecutive_cycles", lambda g, k, seed: failed)
-
-
 @pytest.mark.parametrize("seed", range(4))
-def test_find_exact_even_length_returns_the_first_oracle_witness(monkeypatch, seed):
-    # the oracle fallback stops at its first closure of length 2k: the first
-    # witness of that length in the complete list
+def test_find_exact_even_length_returns_the_first_oracle_witness(seed):
+    # the search stops at its first closure of length 2k: the first witness
+    # of that length in the complete list
     g, _ = plant_cycles(70, 3, [4, 6, 8], background_density=0.5, seed=seed)
-    no_pipeline(monkeypatch)
     for k in (2, 3, 4):
         assert find_c2k(g, k, seed=0) == first_witness_of_length(g, 2 * k)
 
@@ -374,7 +402,6 @@ def test_find_exact_even_length_returns_a_closure_found_within_its_budget(monkey
     # these packings hold a C8 that the oracle reaches within 10^4 expansions
     # (the budgeted list is a prefix of the complete one): no NotFound
     g = greedy_partial_steiner(35, 3, seed=seed, effort=1.0)
-    no_pipeline(monkeypatch)
     monkeypatch.setattr(engine, "C2K_BUDGET", 10**4)
     assert find_c2k(g, 4, seed=0) == first_witness_of_length(g, 8, budget=10**4)
 

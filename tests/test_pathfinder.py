@@ -41,9 +41,8 @@ from lincyc.pathfinder import (
     ANCHOR_ATTEMPTS,
     AnchoredSubgraph,
     check_rainbow_special,
-    layer_index_bound,
 )
-from lincyc.reductions import degeneracy, max_degree_root
+from lincyc.reductions import degeneracy, log_ratio_cap, max_degree_root
 from conftest import FANO_LINES, difference_projection, split_edges, transversal_regular_instance
 
 
@@ -155,7 +154,7 @@ def naive_dense_layer_subgraph(g, x, d, lay=None):
     if not (1 <= d <= delta / 2):
         raise PreconditionFailed(f"need 1 <= d <= delta/2, got d={d}, delta={delta}")
     lay = lay if lay is not None else bfs_layers(g, x)
-    t_cap = layer_index_bound(len(g.vertices), delta / d)
+    t_cap = log_ratio_cap(len(g.vertices), delta / d, 1, 0)
     all_layers = lay.layers
     for i in range(1, min(t_cap, len(all_layers) - 1) + 1):
         li = lay.layer(i)
