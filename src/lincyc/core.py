@@ -446,6 +446,8 @@ class CycleFamily:
 
     def validate(self) -> None:
         ls = self.lengths
+        if not ls:
+            raise InvalidWitness("a cycle family needs at least one cycle")
         if len(set(ls)) != len(ls):
             raise InvalidWitness(f"repeated cycle lengths {ls}")
         step = 2 if self.parity == "EVEN" else 1

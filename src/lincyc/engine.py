@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, combinations
 from typing import Optional, Sequence, Union
 
 from .core import (
@@ -43,9 +45,9 @@ from .pathfinder import _components, anchored_subgraph, pan_connected, rainbow_s
 from .reductions import (
     bfs_layers,
     d_minimal,
-    degenerate_ordering,
     log_ratio_cap,
     max_degree_root,
+    min_degree_core,
     min_degree_subgraph,
     r_partite_reduction,
     rotate_to_root,
@@ -228,11 +230,13 @@ def transversal_cleanup(
 def dense_connected(b: ColoredGraph) -> ColoredGraph:
     """Connected subgraph of minimum degree at least half the average degree:
     peel below the half-average threshold, keep the component of the
-    lowest-indexed surviving vertex."""
+    lowest-indexed surviving vertex.  The peel never empties a non-empty b:
+    each deleted vertex has degree below e/|V|, so the peel removes fewer than e
+    edges."""
     if not b.edges:
         raise EmptyCore("projection has no edges")
-    peel = degenerate_ordering(b.edges, b.average_degree() / 2)
-    core = b.restrict(peel.core_edges)
+    kept, _ = min_degree_core(b.edges, 2, b.average_degree())
+    core = b.restrict(kept)
     comp = _components(core.adjacency())[0]
     return core.restrict(e for e in core.edges if e[0] in comp)
 
@@ -305,12 +309,8 @@ def cycles_from_boundary(
     inner = vht - lt1
     pm = partition.index_map()
     ell = mert.part_of_level[t - 1]
-    counts: dict[int, int] = {}
-    for e in d_edges:
-        for v in e:
-            if v in inner:
-                counts[pm[v]] = counts.get(pm[v], 0) + 1
-    side = max(sorted(counts), key=lambda j: (counts[j], -j))
+    counts = Counter(pm[v] for e in d_edges for v in e if v in inner)
+    side = min(counts, key=lambda c: (-counts[c], c))
     ys = frozenset(v for v in partition.parts[side] if v in vht)
     # every D-edge meets L_{t-1}: build_mert files it only then
     dprime = [e for e in d_edges if ys.intersection(e)]
@@ -380,20 +380,13 @@ def cycles_from_internal(
     fprime = transversal_cleanup(g.edge_induced(f_edges), partition, mt, seed)
     vmt = frozenset(owner)
     pm = partition.index_map()
-    pair_count: dict[tuple[int, int], int] = {}
-    eligible: dict[tuple[int, ...], list[int]] = {}
-    for e in fprime.edges:
-        parts = sorted(pm[v] for v in e if v in vmt)
-        parts = [p for p in parts if parts.count(p) == 1]
-        eligible[e] = parts
-        for a in range(len(parts)):
-            for b in range(a + 1, len(parts)):
-                key = (parts[a], parts[b])
-                pair_count[key] = pair_count.get(key, 0) + 1
+    # fprime's edges are partite, so an edge's classes in V(M_t) are distinct
+    parts = {e: sorted(pm[v] for v in e if v in vmt) for e in fprime.edges}
+    pair_count = Counter(chain.from_iterable(combinations(ps, 2) for ps in parts.values()))
     if not pair_count:
         raise NotEnoughDensity(0, threshold, "internal class-pair subgraph")
-    pi, pj = max(sorted(pair_count), key=lambda key: (pair_count[key], (-key[0], -key[1])))
-    f2 = [e for e in fprime.edges if pi in eligible[e] and pj in eligible[e]]
+    pi, pj = min(pair_count, key=lambda c: (-pair_count[c], c))
+    f2 = [e for e in fprime.edges if pi in parts[e] and pj in parts[e]]
     b = project(g.edge_induced(f2), partition, pi, pj)
     bstar = dense_connected(b)
     s = sorted({vof[y] for y in bstar.vertices})
@@ -550,17 +543,19 @@ def consecutive_cycles(
             raise InvariantViolation(f"anchor {y} is unreachable from {x} in their witness paths")
         pxy = lay.path_to(y)
         y_in_e = y in set(fam.e)
+        back = list(reversed(pxy.edges))
+        # each body lies in V(F), which the x-y path meets only in x and y
+        # (P3); its first edge holds x and not y, its last y and not x (P1),
+        # so every closure is a linear cycle
         cycles = []
         try:
             for ln in sorted(fam.paths):
                 body = list(fam.paths[ln].edges)
                 if y_in_e:
                     body = body[:-1]
-                cycles.append(verify_cycle(g, body + list(reversed(list(pxy.edges)))))
+                cycles.append(verify_cycle(g, body + back))
         except InvalidWitness as err:
-            trace.append({"stage": "closure", "x": x, "status": "failed",
-                          "reason": str(err)})
-            continue
+            raise InvariantViolation(f"closure at anchor {x} through {y} failed: {err}") from err
         shortest_cert = 2 * anc.m + fam.t + 3
         trace.append({"stage": "closure", "x": x, "y": y, "t": fam.t,
                       "m": anc.m, "q": pxy.length, "status": "fired"})

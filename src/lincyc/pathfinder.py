@@ -10,7 +10,7 @@ re-validates through the core witness checkers.
 from __future__ import annotations
 
 import random
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
@@ -453,30 +453,31 @@ def rainbow_special_path(
         u, v = min(set1)
         return [u, v]
 
-    adj = h.adjacency()  # both searches read it, neighbors in id order
-    for nbrs in adj.values():
-        nbrs.sort()
-    witness = _rainbow_by_proof(h, adj, set1, set2, length, r)
+    # one adjacency per class, built from sorted pairs: every neighbour list
+    # is in id order, which both searches' tie-breaks read
+    adj1: dict[int, list[int]] = {}
+    adj2: dict[int, list[int]] = {}
+    for adj, pairs in ((adj1, set1), (adj2, set2)):
+        for u, v in sorted(pairs):
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+    witness = _rainbow_by_proof(h, adj1, adj2, length, r)
     if witness is None:
-        witness = _rainbow_dfs(h, adj, set1, set2, length)
+        witness = _rainbow_dfs(h, adj2, set1, length)
     if witness is None:
         raise NotFound(f"no strongly rainbow E1/E2 path of length {length} found")
     check_rainbow_special(h, set1, witness, length)
     return witness
 
 
-def _rainbow_by_proof(h, adj_h, set1, set2, length, r) -> Optional[list[int]]:
-    adj2: defaultdict[int, list[int]] = defaultdict(list)
-    for u, v in sorted(set2):
-        adj2[u].append(v)
-        adj2[v].append(u)
+def _rainbow_by_proof(h, adj1, adj2, length, r) -> Optional[list[int]]:
     comps = _components(adj2)
 
     def comp_avg(comp: set[int]) -> float:
         return sum(len(adj2[v]) for v in comp) / len(comp)
 
     comp = max(comps, key=lambda c: (comp_avg(c), -min(c)))
-    l_edges = [p for p in set2 if p[0] in comp]
+    l_edges = [(u, v) for u in comp for v in adj2[u] if u < v]
     # halve tau to the first value with a core of minimum degree tau: one at
     # most L's degeneracy, which is at least 1 since L has an edge
     top = degeneracy(l_edges, 2, r * length)
@@ -489,14 +490,15 @@ def _rainbow_by_proof(h, adj_h, set1, set2, length, r) -> Optional[list[int]]:
     # comp is a component of adj2, so L's neighbors of v are all of adj2[v]
     adj_l = {v: sorted(adj2[v], key=pos.__getitem__) for v in comp}
 
-    def increasing_path_from(s: int) -> Optional[list[int]]:
-        # first increasing rainbow path ending in the core or of length-1 edges
+    def increasing_path_from(s: int) -> Optional[tuple[list[int], frozenset[int]]]:
+        # first increasing rainbow path ending in the core or of length-1
+        # edges, with its colors
         stack: list[tuple[list[int], frozenset[int]]] = [([s], frozenset())]
         while stack:
             path, colors = stack.pop()
             last = path[-1]
             if last in core or len(path) == length:
-                return path
+                return path, colors
             for w in reversed(adj_l[last]):
                 if pos[w] <= pos[last] or w in path:
                     continue
@@ -507,44 +509,30 @@ def _rainbow_by_proof(h, adj_h, set1, set2, length, r) -> Optional[list[int]]:
         return None
 
     # a core vertex s yields [s], and the core is non-empty
-    base = next(p for p in map(increasing_path_from, order) if p is not None)
-    colors = set()
-    for u, v in zip(base, base[1:]):
-        colors |= h.color[_pair(u, v)]
+    base, colors = next(p for p in map(increasing_path_from, order) if p is not None)
     first = base[0]
     # attach an E1 edge with fresh colors outside the path.  Pushing the
     # first index down inside L instead cannot help: an earlier L-neighbor w
     # of first with fresh colors would make [w] + base an increasing rainbow
     # path from w, which the exhaustive search from w, run before first's,
     # would have found.
-    for w in adj_h[first]:
-        p = _pair(first, w)
-        if p in set1 and w not in base and not (h.color[p] & colors):
-            return _grow_good_path(h, set2, core, adj_l, [w] + base, length)
+    for w in adj1.get(first, ()):
+        c = h.color[_pair(first, w)]
+        if w not in base and not (c & colors):
+            return _grow_good_path(h, core, adj_l, [w] + base, colors | c, length)
     return None
 
 
-def _grow_good_path(h, set2, core, adj_l, path: list[int], length: int) -> Optional[list[int]]:
-    colors: set[int] = set()
-    for u, v in zip(path, path[1:]):
-        colors |= h.color[_pair(u, v)]
+def _grow_good_path(h, core, adj_l, path: list[int], colors: frozenset[int],
+                    length: int) -> Optional[list[int]]:
+    """Extend path inside L to the given length, each step to the first
+    neighbour by (outside the core, id) that is off the path and brings fresh
+    colors; colors are those of path's edges."""
     while len(path) - 1 < length:
         last = path[-1]
-        picked = None
-        cands = adj_l.get(last, [])
-        for prefer_core in (True, False):
-            for w in sorted(cands):
-                if w in path:
-                    continue
-                if prefer_core and w not in core:
-                    continue
-                c = h.color[_pair(last, w)]
-                if c & colors:
-                    continue
-                picked = w
-                break
-            if picked is not None:
-                break
+        fresh = (w for w in adj_l[last]
+                 if w not in path and not (h.color[_pair(last, w)] & colors))
+        picked = min(fresh, key=lambda w: (w not in core, w), default=None)
         if picked is None:
             return None
         colors |= h.color[_pair(last, picked)]
@@ -552,7 +540,7 @@ def _grow_good_path(h, set2, core, adj_l, path: list[int], length: int) -> Optio
     return path
 
 
-def _rainbow_dfs(h, adj, set1, set2, length) -> Optional[list[int]]:
+def _rainbow_dfs(h, adj2, set1, length) -> Optional[list[int]]:
     spent = 0
     for p in sorted(set1):
         for u, w in (p, p[::-1]):
@@ -565,13 +553,10 @@ def _rainbow_dfs(h, adj, set1, set2, length) -> Optional[list[int]]:
                 if len(path) - 1 == length:
                     return path
                 last = path[-1]
-                for nxt in reversed(adj[last]):
+                for nxt in reversed(adj2.get(last, ())):
                     if nxt in path:
                         continue
-                    q = _pair(last, nxt)
-                    if q not in set2:
-                        continue
-                    c = h.color[q]
+                    c = h.color[_pair(last, nxt)]
                     if c & colors:
                         continue
                     stack.append((path + [nxt], colors | c))

@@ -9,9 +9,11 @@ least (live degree, id) until it meets a stop rule.  Each stop rule is
 monotone in the degree, so the least vertex can go exactly when any vertex
 can, and a lazy min-heap deletes the same vertices in the same order as a
 rescan of every live vertex (Matula-Beck smallest-last, Batagelj-Zaversnik).
-`min_degree_core` needs no order: the core of minimum degree at least d/r is
-unique, so a worklist deletes each vertex once it falls below d/r, with no
-heap.  It counts the degrees first and returns at once when every degree
+The heap peel serves only these callers that read the deletion order:
+`d_minimal` and the rainbow proof search's `degenerate_ordering`.  Order-free
+cores, among them `engine.dense_connected`'s, use `min_degree_core`: the core
+of minimum degree at least d/r is unique, so a worklist deletes each vertex
+once it falls below d/r, with no heap.  It counts the degrees first and returns at once when every degree
 already meets d/r, as most anchored draws do.  Its peel, `_counted_core`,
 takes a subset of an edge list's ids and a caller's incidence over the whole
 list, and skips every id that is not live: the anchored draws in

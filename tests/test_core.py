@@ -575,6 +575,12 @@ def test_cycle_family_validation():
         over.validate()
 
 
+@pytest.mark.parametrize("parity", ["ALL", "EVEN"])
+def test_empty_cycle_family_is_refused(parity):
+    with pytest.raises(InvalidWitness, match="at least one cycle"):
+        CycleFamily([], parity).validate()
+
+
 # -- serialization -----------------------------------------------------------------
 
 

@@ -15,6 +15,7 @@ from lincyc import (
     BudgetExceeded,
     Constants,
     CycleFamily,
+    InvalidWitness,
     InvariantViolation,
     LinearCycle,
     NotFound,
@@ -193,6 +194,18 @@ def test_closure_refuses_a_last_edge_without_one_other_anchor(monkeypatch, packi
     monkeypatch.setattr(engine, "pan_connected", broken)
     with pytest.raises(InvariantViolation, match="not one other than"):
         consecutive_cycles(packing150, 2, seed=0)
+
+
+def test_a_failed_closure_is_an_invariant_violation(monkeypatch, packing150):
+    # P1 and P3 make every closure a linear cycle, so a closure that fails its
+    # check is a bug to report, not an anchor to skip
+    def refuse(g, edges):
+        raise InvalidWitness("refused")
+
+    monkeypatch.setattr(engine, "verify_cycle", refuse)
+    with pytest.raises(InvariantViolation, match="closure at anchor") as caught:
+        consecutive_cycles(packing150, 2, seed=0)
+    assert isinstance(caught.value.__cause__, InvalidWitness)
 
 
 @pytest.mark.parametrize("k", [0, -1])

@@ -16,20 +16,29 @@ fires and fails at the boundary and fails at the internal assembly.
 
 The internal assembly never fires in that corpus, so one report where it does
 is pinned on a stored instance, tests/data/even_sparse_internal.txt.
+
+Every rainbow search of the even corpus is pinned by its witness, since a
+changed witness whose construction then fails leaves the report unchanged.
+The benchmark's seed-1 digests are pinned too, each from one run of
+perfbench's own runner without tracing.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import hashlib
+import importlib
 import random
 from pathlib import Path
 
 import pytest
 
+import lincyc.engine
 from lincyc import (
     GenSpec,
     LinearHypergraph,
+    NotFound,
     cli,
     consecutive_cycles,
     even_consecutive_cycles,
@@ -208,3 +217,51 @@ def test_internal_assembly_report_hash():
     assert [(s["stage"], s["t"], s["case"]) for s in fired] == [("internal", 5, 1)]
     assert report.success and report.outcome.lengths == [12, 14]
     assert sha(report.to_json()) == INTERNAL_HASH
+
+
+# every rainbow_special_path call of the 48 even report runs above, in call
+# order: the witness, or NotFound
+RAINBOW_HASH = "9c358126263275278a9212d0519246f95501e1e0fb853b92b48fe038271e0702"
+
+
+def test_rainbow_search_hash(monkeypatch):
+    search = lincyc.engine.rainbow_special_path
+    found = []
+
+    def recorded(*args, **kwargs):
+        try:
+            witness = search(*args, **kwargs)
+        except NotFound:
+            found.append("NotFound")
+            raise
+        found.append(repr(witness))
+        return witness
+
+    monkeypatch.setattr(lincyc.engine, "rainbow_special_path", recorded)
+    for name in sorted({name for pipeline, name in REPORT_HASHES if pipeline == "even"}):
+        g = instance(name)
+        for seed in SEEDS:
+            even_consecutive_cycles(g, 2, seed)
+    assert len(found) == 63
+    assert sha("\n".join(found)) == RAINBOW_HASH
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# perfbench/run.py --workload W --seed 1 --seconds 20 --trace 0
+BENCH_DIGESTS = {
+    "even-sparse": "bb00296a905059192c160718e3cfabefcdf44bf06b10414d9d6b30186bcd03d2",
+    "all-dense": "5e0d7bdafcd1974c58291ef47a7c1c0f5192058ef6e47bd90f4d5e78bd703f43",
+    "gen-oracle": "d8900685cbf5e2dee15748af766f6ea30f7b4ffd416c924066b63b596e1f70c8",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_DIGESTS))
+def test_benchmark_seed_1_digest(monkeypatch, workload):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    bench = importlib.import_module("run")
+    try:
+        out = bench.run(workload, seed=1, seconds=20.0, trace=False, setups=1)
+    finally:
+        gc.unfreeze()  # the runner freezes its batch out of the collector's work
+    assert out["result"]["correct"], out["errors"][:3]
+    assert out["meta"]["digest"] == BENCH_DIGESTS[workload]
