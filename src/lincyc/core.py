@@ -173,8 +173,12 @@ class LinearHypergraph:
     def from_text(cls, text: str) -> "LinearHypergraph":
         """Parse an 'r n m' header line and exactly m edge lines; blank lines
         are skipped."""
-        rows = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1)]
-        rows = [(no, _ints(tokens, no)) for no, tokens in rows if tokens]
+        # one line at a time, so its token strings and fresh ints die at once;
+        # seen keeps one int object per id, as in _interned
+        seen: dict[int, int] = {}
+        rows = [(no, _ints(tokens, no, seen))
+                for no, tokens in ((no, ln.split()) for no, ln in enumerate(text.splitlines(), 1))
+                if tokens]
         if not rows:
             raise MalformedInput("empty input: expected an 'r n m' header")
         (head_no, head), *body = rows
@@ -201,7 +205,7 @@ class LinearHypergraph:
         if obj["n"] < 0:
             raise MalformedInput(f"graph JSON key 'n' must be non-negative, got {obj['n']}")
         _check_parsed_size(obj["n"])
-        return cls(obj["n"], obj["r"], [tuple(e) for e in obj["edges"]])
+        return cls(obj["n"], obj["r"], _interned(obj["edges"]))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True)
@@ -248,9 +252,19 @@ def _check_parsed_size(n: int) -> None:
         raise TooLarge(f"vertex count n = {n} exceeds the cap {MAX_PARSED_VERTICES}")
 
 
-def _ints(tokens: list[str], line: int) -> list[int]:
+def _interned(edges: Iterable[list[int]]) -> list[Edge]:
+    """The parsed edges as tuples that hold one int object per vertex id: the
+    parser minted a fresh int for every token, and the constructor keeps the
+    ints it is given."""
+    seen: dict[int, int] = {}
+    return [tuple(map(seen.setdefault, e, e)) for e in edges]
+
+
+def _ints(tokens: list[str], line: int, seen: dict[int, int]) -> list[int]:
+    """The tokens as ints, each the first int that ``seen`` holds for its
+    value, so a fresh int dies as soon as it is read."""
     try:
-        return [int(x) for x in tokens]
+        return [seen.setdefault(v, v) for v in map(int, tokens)]
     except ValueError:
         raise MalformedInput(f"non-integer token in {' '.join(tokens)!r}", line) from None
 

@@ -5,6 +5,10 @@ The greedy packing replaces nibble-style machinery: sample random r-sets,
 accept whenever no vertex pair is reused, then (on small instances) sweep all
 r-sets once to reach true maximality.  Empirically this lands well above half
 of the pair-counting upper bound, which is all downstream tests need.
+
+The greedy packing mints its vertex ids once per call, as ``ids = list(range(n))``,
+and builds each edge it keeps from that table, so all edges at a vertex share
+one int object rather than each holding the fresh int a draw returned.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Literal, Optional
 
-from .core import LinearCycle, LinearHypergraph, _assembled, verify_cycle
+from .core import LinearCycle, LinearHypergraph, _assembled, _check_parsed_size, verify_cycle
 from .errors import Infeasible, NonUniformEdge, PreconditionFailed, RetriesExhausted
 from .oracle import enumerate_cycles
 
@@ -42,6 +46,8 @@ class GenSpec:
             raise Infeasible(f"uniformity r={self.r} below 2")
         if self.n < self.r:
             raise Infeasible(f"n={self.n} below uniformity r={self.r}")
+        # refuse, before building it, a graph that the parsers would refuse
+        _check_parsed_size(self.n)
         # `not x >= 0` rather than `x < 0`, so that NaN fails too
         if not self.background_density >= 0:
             raise Infeasible(f"background density {self.background_density} must be at least 0")
@@ -87,6 +93,7 @@ def greedy_partial_steiner(
     # tests/test_generators.py pins that identity.
     getrandbits = random.Random(seed).getrandbits
     bits = n.bit_length()
+    ids = list(range(n))
     if r == 3:
         # unrolled: this loop dominates large builds
         for _ in range(budget):
@@ -117,9 +124,9 @@ def greedy_partial_steiner(
             if used[bc]:
                 continue
             used[ab] = used[ac] = used[bc] = 1
-            edges.append((a, b, c))
+            edges.append((ids[a], ids[b], ids[c]))
     else:
-        is_used = used.__getitem__
+        is_used, mint = used.__getitem__, ids.__getitem__
         for _ in range(budget):
             cand = set()
             for _ in range(r):
@@ -135,15 +142,15 @@ def greedy_partial_steiner(
                 continue
             for k in keys:
                 used[k] = 1
-            edges.append(tuple(cs))
+            edges.append(tuple(map(mint, cs)))
 
     if sweep:
-        _maximality_sweep(n, r, used, edges)
+        _maximality_sweep(n, r, used, edges, ids)
 
     # Every edge is a sorted r-tuple of distinct vertices of range(n), and
     # used rejected each reused pair, so the edges are distinct and linear:
     # sorting them is all the constructor would add.
-    return _assembled(n, r, tuple(sorted(edges)), frozenset(range(n)))
+    return _assembled(n, r, tuple(sorted(edges)), frozenset(ids))
 
 
 def _uses_table(n: int, r: int, budget: int, sweep: bool) -> bool:
@@ -162,10 +169,11 @@ class _PairSet(set):
 
 
 def _maximality_sweep(
-    n: int, r: int, used: bytearray, edges: list[tuple[int, ...]]
+    n: int, r: int, used: bytearray, edges: list[tuple[int, ...]], ids: list[int]
 ) -> None:
     """Append, in lexicographic order, every r-set of range(n) whose pairs are
-    all still free in ``used``, as a scan of combinations(range(n), r) would.
+    all still free in ``used``, as a scan of combinations(range(n), r) would;
+    each appended edge is built from ``ids``, the caller's table of range(n).
 
     The scan is a backtrack over prefixes that drops a prefix as soon as one
     of its pairs is used.  That loses nothing: used pairs only accumulate, so
@@ -174,7 +182,7 @@ def _maximality_sweep(
     resumes at slot 1 with the vertex after the edge's second.  The stack is
     explicit, so r may exceed the recursion limit."""
     pairs = [(a, b) for a in range(r - 1) for b in range(a + 1, r)]
-    prefix: list[int] = []  # the free prefix; slot len(prefix) is being filled
+    prefix: list[int] = []  # the free prefix, from ids; slot len(prefix) is being filled
     rows: list[int] = []  # u * n for u in prefix
     tries = [iter(range(n - r + 1))]  # the vertices left to try, one iterator per slot
     while tries:
@@ -189,11 +197,11 @@ def _maximality_sweep(
             continue
         j = len(prefix)
         if j + 1 < r:
-            prefix.append(v)
+            prefix.append(ids[v])
             rows.append(v * n)
             tries.append(iter(range(v + 1, n - r + j + 2)))
             continue
-        edge = (*prefix, v)
+        edge = (*prefix, ids[v])
         for a, b in pairs:
             used[rows[a] + edge[b]] = 1
         edges.append(edge)

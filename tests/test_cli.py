@@ -80,6 +80,18 @@ def test_gen_rejects_bad_values(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+def test_gen_refuses_a_graph_the_parsers_would_refuse(tmp_path, capsys):
+    out = tmp_path / "big.txt"
+    code, stdout, err = run(
+        ["gen", "--n", str(MAX_PARSED_VERTICES + 1), "--mode", "planted", "--lengths", "4",
+         "--seed", "0", "--out", str(out)],
+        capsys,
+    )
+    assert code == 1 and stdout == "" and not out.exists()
+    assert err == (f"error: vertex count n = {MAX_PARSED_VERTICES + 1} "
+                   f"exceeds the cap {MAX_PARSED_VERTICES}\n")
+
+
 def test_gen_huge_girth_floor_exits_without_traceback(capsys):
     code, out, err = run(
         ["gen", "--n", "30", "--mode", "sparsified", "--d", "1",

@@ -591,6 +591,16 @@ def test_round_trip_text_and_json(g):
     assert LinearHypergraph.from_json(g.to_json()) == LinearHypergraph(g.n, g.r, g.edges)
 
 
+def test_parsed_edges_share_one_int_per_vertex():
+    # the parsers mint a fresh int for every token; they keep the first
+    g = greedy_partial_steiner(1000, 3, seed=5, effort=0.1)
+    vertices = {v for e in g.edges for v in e}
+    for parsed in (LinearHypergraph.from_text(g.to_text()),
+                   LinearHypergraph.from_json(g.to_json())):
+        assert parsed == g
+        assert len({id(v) for e in parsed.edges for v in e}) == len(vertices)
+
+
 def test_text_format_shape(fano):
     lines = fano.to_text().splitlines()
     assert lines[0] == "3 7 7"

@@ -19,6 +19,7 @@ from lincyc import (
     NonUniformEdge,
     PreconditionFailed,
     RetriesExhausted,
+    TooLarge,
     enumerate_cycles,
     generate,
     girth,
@@ -28,6 +29,7 @@ from lincyc import (
     verify_cycle,
 )
 from lincyc import generators
+from lincyc.core import MAX_PARSED_VERTICES
 from lincyc.generators import SWEEP_LIMIT
 
 
@@ -405,6 +407,35 @@ def test_plant_background_past_what_a_linear_graph_holds_is_capped(density):
     assert plant_cycles(24, 3, [4], background_density=density, seed=1) == at_cap
 
 
+# -- one int object per vertex --------------------------------------------------------------
+#
+# The greedy packing builds the edges it keeps from one table of range(n), so
+# every edge at a vertex holds the same int.  Ints up to 256 are shared by CPython
+# anyway, so each case reaches well past that.
+
+
+def assert_one_int_per_vertex(g):
+    vertices = {v for e in g.edges for v in e}
+    assert max(vertices) > 256
+    assert len({id(v) for e in g.edges for v in e}) == len(vertices)
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["set", "table"])
+@pytest.mark.parametrize("case", [(400, 3, 1, 0.3), (300, 4, 2, 1.0)], ids=["r3", "r4"])
+def test_packing_edges_share_one_int_per_vertex(case, table, monkeypatch):
+    monkeypatch.setattr(generators, "_uses_table", lambda *args: table)
+    g = greedy_partial_steiner(*case)
+    assert g.edges == naive_greedy_partial_steiner(*case).edges
+    assert_one_int_per_vertex(g)
+
+
+def test_swept_edges_share_one_int_per_vertex():
+    # at so low an effort the r = 2 sweep adds most of the edges: every pair
+    g = greedy_partial_steiner(300, 2, seed=3, effort=0.01)
+    assert g.num_edges() == math.comb(300, 2)
+    assert_one_int_per_vertex(g)
+
+
 # -- generate dispatch ---------------------------------------------------------------------
 
 
@@ -424,6 +455,15 @@ def test_genspec_validation():
         GenSpec(n=10, r=3, mode="sparsified", d=10.0).validate()
     with pytest.raises(Infeasible):
         GenSpec(n=100, r=3, mode="sparsified", d=2.0, girth_floor=1).validate()
+
+
+def test_genspec_refuses_a_graph_the_parsers_would_refuse():
+    spec = GenSpec(n=MAX_PARSED_VERTICES + 1, r=3, mode="planted", lengths=[4])
+    with pytest.raises(TooLarge, match="exceeds the cap"):
+        spec.validate()
+    with pytest.raises(TooLarge, match="exceeds the cap"):
+        generate(spec)
+    GenSpec(n=MAX_PARSED_VERTICES, r=3).validate()
 
 
 def test_genspec_rejects_nan():
