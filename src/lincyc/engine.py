@@ -40,7 +40,7 @@ from .errors import (
     TheoremContradictionTrace,
 )
 from .mert import Mert, anchor_and_label, build_mert, expand_tree_path
-from .oracle import _closures, _cycle_length_cap
+from .oracle import _cycle_length_cap, _starts
 from .pathfinder import _components, anchored_subgraph, pan_connected, rainbow_special_path
 from .reductions import (
     bfs_layers,
@@ -586,9 +586,9 @@ def find_c2k(g: LinearHypergraph, k: int, seed: int = 0) -> LinearCycle:
         raise NotFound(f"no linear cycle of length {2 * k} found")
     edges = g.edges
     try:
-        for chain, eid in _closures(g, 2 * k, C2K_BUDGET):
-            if len(chain) + 1 == 2 * k:
-                return verify_cycle(g, tuple(edges[i] for i in chain) + (edges[eid],))
+        for path, eid in chain.from_iterable(_starts(g, 2 * k, C2K_BUDGET)):
+            if len(path) + 1 == 2 * k:
+                return verify_cycle(g, tuple(edges[i] for i in path) + (edges[eid],))
     except BudgetExceeded as stopped:
         raise NotFound(
             f"search for a linear cycle of length {2 * k} stopped at its budget of "

@@ -21,7 +21,7 @@ from typing import Literal, Optional
 
 from .core import LinearCycle, LinearHypergraph, _assembled, _check_parsed_size, verify_cycle
 from .errors import Infeasible, NonUniformEdge, PreconditionFailed, RetriesExhausted
-from .oracle import enumerate_cycles
+from .oracle import short_cycle_starts
 
 # full maximality sweep only when enumerating every r-set is affordable
 SWEEP_LIMIT = 500_000
@@ -227,9 +227,9 @@ def high_girth_sparsify(
     lexicographically least edge of every linear cycle of length <= m.
     Retries the coin flips until the surviving average degree is at least d.
 
-    Deletions never create cycles, so one enumeration suffices: cycles are
-    processed in enumeration order, skipping any that already lost an edge.
-    The outcome is identical to re-enumerating after every deletion."""
+    Edges are sorted, so a cycle's least edge is the oracle start it grows
+    from, and cycles from later starts hold only later edges: the deleted
+    edges are the starts of a cycle of length <= m, each found by one hit."""
     n, r = base.n, base.r
     p = 2 * r * d / n
     if p > 1:
@@ -241,26 +241,15 @@ def high_girth_sparsify(
     except OverflowError:  # a float power past the largest double
         expected_bound = math.inf
     rng = random.Random(seed)
-    # kept stays a subsequence of base.edges, so both graphs are cut from base
+    # each graph keeps a subsequence of base.edges, so each is cut from base
     everyone = frozenset(range(n))
     best: Optional[SparsifyReport] = None
     for attempt in range(1, SPARSIFY_ATTEMPTS + 1):
-        kept = [e for e in base.edges if rng.random() < p]
-        deleted: list[tuple[int, ...]] = []
-        if m >= 3:
-            g = base._cut(tuple(kept), everyone)
-            witnesses: list[LinearCycle] = []
-            enumerate_cycles(g, m, witnesses=witnesses)
-            gone: set[tuple[int, ...]] = set()
-            for cyc in witnesses:
-                if any(e in gone for e in cyc.edges):
-                    continue
-                victim = min(cyc.edges)
-                gone.add(victim)
-                deleted.append(victim)
-            if gone:
-                kept = [e for e in kept if e not in gone]
-        g = base._cut(tuple(kept), everyone)
+        g = base._cut(tuple(e for e in base.edges if rng.random() < p), everyone)
+        deleted = [g.edges[i] for i in short_cycle_starts(g, m)]
+        if deleted:
+            dropped = set(deleted)
+            g = base._cut(tuple(e for e in g.edges if e not in dropped), everyone)
         report = SparsifyReport(g, attempt, deleted, g.average_degree(), expected_bound)
         if best is None or report.average_degree > best.average_degree:
             best = report

@@ -20,13 +20,15 @@ their parent, last pushed first, and could only close, so the parent tries
 them in place in that order, one expansion each.  Every other state is
 pushed and popped as in a plain DFS, with new pivots taken in the order of
 one set per edge, so a complete run lists its witnesses in the same order.
-``high_girth_sparsify`` relies on that order: it deletes edges cycle by
-cycle.  Skipped states spend no budget, so under any budget the witnesses
-are a prefix of the complete list, at least as long as without the skips.
+Skipped states spend no budget, so under any budget the witnesses are a
+prefix of the complete list, at least as long as without the skips.  There
+is one search per first edge, all on one budget, so a caller may leave a
+start at its first closure and pay only for what that start expanded.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -67,10 +69,12 @@ def _cycle_length_cap(g: LinearHypergraph) -> int:
     return min(connectors, len(incident) // (g.r - 1))
 
 
-def _closures(g: LinearHypergraph, max_len: int, budget: int):
-    """Yield ``(chain, eid)`` for each cycle of length <= max_len, in witness
-    order: the edge ids ``chain`` in path order, closed by edge ``eid``.
-    Raises BudgetExceeded at the first expansion past ``budget``."""
+def _starts(g: LinearHypergraph, max_len: int, budget: int):
+    """One generator per first edge, in id order, each yielding ``(chain, eid)``
+    for its cycles of length <= max_len in witness order: edge ids ``chain``
+    in path order, closed by ``eid``.  Past ``budget`` expansions of all the
+    starts together, BudgetExceeded."""
+    max_len = min(max_len, _cycle_length_cap(g))  # no deeper chain can close
     if max_len < 3:
         return  # every linear cycle has at least 3 edges
     edges = g.edges
@@ -78,7 +82,9 @@ def _closures(g: LinearHypergraph, max_len: int, budget: int):
     sets = [set(e) for e in edges]  # one per edge, so new pivots keep their order
     backward = [tuple(f)[::-1] for f in sets]  # the order leaves are popped in
     expansions = 0
-    for start, e1 in enumerate(edges):
+
+    def closures(start, e1):
+        nonlocal expansions
         e1_set = sets[start]
         # a = closing pivot on the first edge, w = pivot to extend from
         for a in e1:
@@ -144,6 +150,8 @@ def _closures(g: LinearHypergraph, max_len: int, budget: int):
                                     and len(sets[c] & used) == 1):
                                 yield chain + [eid], c
 
+    yield from itertools.starmap(closures, enumerate(edges))
+
 
 def enumerate_cycles(
     g: LinearHypergraph,
@@ -162,7 +170,7 @@ def enumerate_cycles(
     counts: dict[int, int] = {}
     edges = g.edges
     try:
-        for chain, eid in _closures(g, min(max_len, _cycle_length_cap(g)), budget):
+        for chain, eid in itertools.chain.from_iterable(_starts(g, max_len, budget)):
             t = len(chain) + 1
             lengths.add(t)
             counts[t] = counts.get(t, 0) + 1
@@ -172,6 +180,14 @@ def enumerate_cycles(
         err.partial = Spectrum(max_len, lengths, counts, complete=False)
         raise
     return Spectrum(max_len, lengths, counts if count else {}, complete=True)
+
+
+def short_cycle_starts(g: LinearHypergraph, max_len: int,
+                       budget: int = DEFAULT_BUDGET) -> list[int]:
+    """Ids, ascending, of the edges that are the least edge of a linear cycle
+    of length <= max_len.  Each start stops at its first closure, a non-empty
+    ``(chain, eid)``.  Past ``budget`` expansions, BudgetExceeded."""
+    return [i for i, found in enumerate(_starts(g, max_len, budget)) if next(found, None)]
 
 
 def girth(g: LinearHypergraph, cap: int) -> Optional[int]:

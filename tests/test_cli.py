@@ -20,6 +20,7 @@ from lincyc import (
     greedy_partial_steiner,
 )
 from lincyc.core import MAX_PARSED_VERTICES
+from lincyc.oracle import short_cycle_starts
 from conftest import FANO_LINES
 
 
@@ -102,6 +103,18 @@ def test_gen_huge_girth_floor_exits_without_traceback(capsys):
     lines = out.splitlines()
     r, n, m = map(int, lines[0].split())
     assert (r, n) == (3, 30) and len(lines) == m + 1
+
+
+def test_gen_sparsifier_budget_stop_is_one_error_line(capsys, monkeypatch):
+    monkeypatch.setattr(generators, "short_cycle_starts",
+                        functools.partial(short_cycle_starts, budget=1))
+    code, out, err = run(
+        ["gen", "--n", "40", "--mode", "sparsified", "--d", "2", "--girth-floor", "5",
+         "--seed", "3"],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    assert err == "error: node budget 1 exceeded\n"
 
 
 @pytest.mark.parametrize(
@@ -544,8 +557,8 @@ cli_argv = st.one_of(
 @given(cli_argv)
 def test_any_argv_exits_cleanly(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr(engine, "C2K_BUDGET", 2000)
-    monkeypatch.setattr(generators, "enumerate_cycles",
-                        functools.partial(enumerate_cycles, budget=20000))
+    monkeypatch.setattr(generators, "short_cycle_starts",
+                        functools.partial(short_cycle_starts, budget=20000))
     paths = {"missing": str(tmp_path / "missing")}
     for name, text in GRAPHS.items():
         paths[name] = str(tmp_path / f"{name}.txt")

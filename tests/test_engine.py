@@ -385,7 +385,7 @@ def test_find_exact_even_length_beyond_every_linear_cycle_is_answered_at_once(mo
     def no_search(*args):
         raise AssertionError("searched for an impossible length")
 
-    monkeypatch.setattr(engine, "_closures", no_search)
+    monkeypatch.setattr(engine, "_starts", no_search)
     with pytest.raises(NotFound, match=r"^no linear cycle of length 6 found$"):
         find_c2k(g, 3, seed=0)
     with pytest.raises(NotFound, match=r"^no linear cycle of length 4 found$"):

@@ -366,6 +366,75 @@ def test_sparsify_determinism():
     assert a.graph.edges == b.graph.edges
 
 
+# -- high_girth_sparsify against the witness replay it replaced --------------------------
+#
+# The sparsifier asks the oracle for one closure per start.  The reference is
+# the loop as first written: list every linear cycle of length <= m, then walk
+# the list and delete the least edge of each cycle that has lost none yet.
+
+
+def reference_sparsify(base, d, m, seed):
+    """(exhausted, (attempts, deleted edges, edges, average degree)) of the
+    returned report, or of the best one when every attempt falls short."""
+    n, r = base.n, base.r
+    p = 2 * r * d / n
+    rng = random.Random(seed)
+    best = None
+    for attempt in range(1, generators.SPARSIFY_ATTEMPTS + 1):
+        kept = [e for e in base.edges if rng.random() < p]
+        deleted = []
+        if m >= 3:
+            witnesses = []
+            enumerate_cycles(LinearHypergraph(n, r, kept), m, witnesses=witnesses)
+            gone = set()
+            for cyc in witnesses:
+                if any(e in gone for e in cyc.edges):
+                    continue
+                victim = min(cyc.edges)
+                gone.add(victim)
+                deleted.append(victim)
+            kept = [e for e in kept if e not in gone]
+        g = LinearHypergraph(n, r, kept)
+        outcome = (attempt, deleted, g.edges, g.average_degree())
+        if best is None or outcome[3] > best[3]:
+            best = outcome
+        if outcome[3] >= d:
+            return False, outcome
+    return True, best
+
+
+def sparsify_outcome(base, d, m, seed):
+    try:
+        report = high_girth_sparsify(base, d, m, seed=seed)
+        exhausted = False
+    except RetriesExhausted as err:
+        assert err.attempts == generators.SPARSIFY_ATTEMPTS
+        report, exhausted = err.best, True
+    return exhausted, (report.attempts, report.deleted_edges, report.graph.edges,
+                       report.average_degree)
+
+
+@st.composite
+def sparsify_cases(draw):
+    n = draw(st.integers(20, 120))
+    r = draw(st.sampled_from([3, 4]))
+    m = draw(st.sampled_from([6, 5, 4, 3, 2]))
+    # the reference lists every cycle: at m = 6 and n = 120 a 3-graph with
+    # d = 1.2 takes it past a second, so the densest corner is kept lower
+    d = draw(st.sampled_from([0.9, 0.6, 0.3]) if m == 6 else st.sampled_from([1.5, 1.1, 0.7]))
+    d += draw(st.floats(min_value=0.0, max_value=0.1))
+    # a thin base falls short of d and returns the best report in the error
+    effort = draw(st.sampled_from([1.0, 0.5, 0.1]))
+    seed = draw(st.integers(0, 2**32))
+    return greedy_partial_steiner(n, r, seed=seed, effort=effort), d, m, seed
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparsify_cases())
+def test_sparsify_matches_the_witness_replay(case):
+    assert sparsify_outcome(*case) == reference_sparsify(*case)
+
+
 # -- plant_cycles -------------------------------------------------------------------------
 
 

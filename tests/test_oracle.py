@@ -27,7 +27,7 @@ from lincyc import (
     verify_cycle,
 )
 from lincyc.errors import InvalidWitness
-from lincyc.oracle import DEFAULT_BUDGET
+from lincyc.oracle import DEFAULT_BUDGET, short_cycle_starts
 from conftest import difference_projection, planted_c4, split_edges
 
 
@@ -245,6 +245,51 @@ def test_lookup_enumeration_matches_the_scan(case):
     assert outcome(enumerate_cycles, g, max_len) == complete
     assert outcome(naive_enumerate_cycles, g, max_len, prune=True) == complete
     assert_budgeted_prefix(g, max_len, budget, complete[2])
+
+
+# -- short_cycle_starts --------------------------------------------------------------
+#
+# A cycle's least edge is the first edge it is grown from, so the edges that are
+# the least edge of a short cycle are the first edges of the witnesses.
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_cases())
+def test_short_cycle_starts_are_the_first_edges_of_the_witnesses(case):
+    g, max_len, budget = case
+    ids = {e: i for i, e in enumerate(g.edges)}
+    complete = outcome(naive_enumerate_cycles, g, max_len)[2]
+    firsts = sorted({ids[c.edges[0]] for c in complete})
+    assert short_cycle_starts(g, max_len) == firsts
+    try:
+        assert short_cycle_starts(g, max_len, budget) == firsts
+    except BudgetExceeded:
+        pass
+
+
+def least_budget(search):
+    """The least budget under which ``search(budget)`` completes, and its
+    result; every smaller budget raises BudgetExceeded."""
+    budget = 1
+    while True:
+        try:
+            return budget, search(budget)
+        except BudgetExceeded:
+            budget += 1
+
+
+def test_short_cycle_starts_stop_at_the_first_closure(fano):
+    # any three lines of the Fano plane without a common point form a
+    # triangle, so each of the first five lines is the least edge of one
+    spent, starts = least_budget(lambda budget: short_cycle_starts(fano, 7, budget))
+    assert starts == [0, 1, 2, 3, 4]
+    # every start is left at its first closure: less than the full list costs
+    assert spent < least_budget(lambda budget: enumerate_cycles(fano, 7, budget))[0]
+
+
+def test_short_cycle_starts_below_three_is_empty(fano):
+    assert short_cycle_starts(fano, 2) == []
+    assert short_cycle_starts(fano, -1) == []
 
 
 def test_the_search_stops_at_the_longest_cycle_the_graph_can_hold():
