@@ -46,7 +46,7 @@ def _config_argv(ap: argparse.ArgumentParser, argv: list[str], path: str) -> lis
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         ap.error(f"--config {path}: {err}")
     if not isinstance(cfg, dict):
         ap.error(f"--config {path} must hold a JSON object")
@@ -350,7 +350,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 1
     except LincycError as err:

@@ -67,6 +67,10 @@ class Constants:
         # the c2 constants take log2 of a multiple of k
         if self.k < 1:
             raise PreconditionFailed("need k >= 1")
+        # thresholds must fit a float: checked by log2; 2^(4r) is past one from r = 256
+        r, lr = self.r, math.log2(max(self.r, 1))
+        if r >= 256 or max(4 * r + 8 + 3 * lr, 4 * r + 4 + 5 * lr, 7 + (2 * r + 3) * lr) >= 1024:
+            raise PreconditionFailed(f"uniformity r={r} puts the thresholds past a float")
 
     @property
     def c1_all(self) -> float:
@@ -292,17 +296,15 @@ def _internal_edges(mert: Mert, t: int, k: int) -> tuple[tuple, int]:
 # -- boundary construction (even lengths) --------------------------------------
 
 
-def cycles_from_boundary(
-    mert: Mert, t: int, k: int, best_effort: bool = False
-) -> tuple[CycleFamily, dict]:
+def cycles_from_boundary(mert: Mert, t: int, k: int) -> tuple[CycleFamily, dict]:
     """k cycles of consecutive even lengths 2m+2..2m+2k (m <= t-1) from the
     edges crossing between level t-1 and the rest of segment t of the tree's
     graph."""
     g, partition = mert.graph, mert.partition
     d_edges, threshold = _boundary_edges(mert, t, k)
     info = {"t": t, "e_D": len(d_edges), "threshold": threshold}
-    if not d_edges or (len(d_edges) < threshold and not best_effort):
-        raise NotEnoughDensity(len(d_edges), threshold, "boundary D-subgraph")
+    if not d_edges:
+        raise NotEnoughDensity(0, threshold, "boundary D-subgraph")
 
     lt1 = mert.levels[t - 1]
     vht = mert.segment_vertices(t)
@@ -353,17 +355,15 @@ def _x_side(p, xs) -> int:
 # -- internal construction (all lengths) ---------------------------------------
 
 
-def cycles_from_internal(
-    mert: Mert, t: int, k: int, seed: int = 0, best_effort: bool = False
-) -> tuple[CycleFamily, dict]:
+def cycles_from_internal(mert: Mert, t: int, k: int, seed: int = 0) -> tuple[CycleFamily, dict]:
     """2k cycles of consecutive lengths 2m+1..2m+2k (m <= t) from edges of
     the tree's graph that avoid all earlier segments and meet segment t at
     least twice."""
     g, partition = mert.graph, mert.partition
     f_edges, threshold = _internal_edges(mert, t, k)
     info = {"t": t, "e_F": len(f_edges), "threshold": threshold}
-    if not f_edges or (len(f_edges) < threshold and not best_effort):
-        raise NotEnoughDensity(len(f_edges), threshold, "internal F-subgraph")
+    if not f_edges:
+        raise NotEnoughDensity(0, threshold, "internal F-subgraph")
 
     lt1 = mert.levels[t - 1]
     owner: dict[int, tuple[int, ...]] = {}
@@ -453,9 +453,9 @@ def even_consecutive_cycles(
     for ratio, kind, t in _layer_candidates(mert, k, strict):
         try:
             if kind == "boundary":
-                fam, info = cycles_from_boundary(mert, t, k, best_effort=not strict)
+                fam, info = cycles_from_boundary(mert, t, k)
             else:
-                fam, info = cycles_from_internal(mert, t, k, seed, best_effort=not strict)
+                fam, info = cycles_from_internal(mert, t, k, seed)
                 fam = _even_subfamily(fam, k)
         except LincycError as err:
             trace.append({"stage": kind, "t": t, "status": "failed", "reason": str(err)})
@@ -480,6 +480,8 @@ def _even_subfamily(fam: CycleFamily, k: int) -> CycleFamily:
 
 
 def _layer_candidates(mert: Mert, k: int, strict: bool):
+    """(|edges|/threshold, kind, t) per layer with edges, densest first; strict
+    keeps those at their threshold, by t.  The constructions refuse only an empty layer."""
     out = []
     for t in range(1, mert.height + 1):
         for kind, select in (("boundary", _boundary_edges), ("internal", _internal_edges)):
@@ -495,6 +497,14 @@ def _layer_candidates(mert: Mert, k: int, strict: bool):
 # -- pipeline: consecutive lengths ---------------------------------------------
 
 
+def _anchor_density(target: float, delta: int, strict: bool) -> Optional[float]:
+    """An anchored search's density: target if it is at most delta/2, else
+    None (a refusal) in strict mode or max(1, delta/2) in best effort."""
+    if target <= delta / 2:
+        return target
+    return None if strict else max(1.0, delta / 2)
+
+
 def consecutive_cycles(
     g: LinearHypergraph, k: int, seed: int = 0, strict: bool = False
 ) -> EngineReport:
@@ -507,12 +517,9 @@ def consecutive_cycles(
         return report.fail("core", str(err))
     delta = core.min_degree()
     theory_d = g.r**1.5 * 2 ** (2 * g.r + 2) * math.sqrt(max(delta, 1) * k)
-    if theory_d <= delta / 2:
-        d_eff = theory_d
-    elif strict:
+    d_eff = _anchor_density(theory_d, delta, strict)
+    if d_eff is None:
         return report.fail("regime", f"anchor density {theory_d:.1f} exceeds delta/2 = {delta / 2}")
-    else:
-        d_eff = max(1.0, delta / 2)
     trace.append({"stage": "core", "delta": delta, "d_eff": d_eff})
     try:
         anc = anchored_subgraph(core, max_degree_root(core), d_eff, seed)
@@ -521,9 +528,14 @@ def consecutive_cycles(
     trace.append({"stage": "anchored", "m": anc.m,
                   "anchors": len(anc.subgraph.vertices & anc.anchors)})
 
+    d_prime = k * g.r**2 * 2 ** (2 * g.r + 2)
+    f_delta = anc.subgraph.min_degree()
+    d_f = _anchor_density(d_prime, f_delta, strict)
+    if d_f is None:
+        return report.fail("pan-connected", f"min degree {f_delta} below 2d' = {2 * d_prime}")
     for x in sorted(anc.subgraph.vertices & anc.anchors):
         try:
-            fam = pan_connected(anc.subgraph, x, k, seed, best_effort=not strict)
+            fam = pan_connected(anc.subgraph, x, k, d_f, seed)
         except LincycError as err:
             trace.append({"stage": "pan-connected", "x": x, "status": "failed",
                           "reason": str(err)})

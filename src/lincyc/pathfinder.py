@@ -333,21 +333,15 @@ class PanConnectedFamily:
 
 
 def pan_connected(
-    f: LinearHypergraph,
-    x: int,
-    k: int,
-    seed: int = 0,
-    best_effort: bool = False,
+    f: LinearHypergraph, x: int, k: int, d: float, seed: int = 0
 ) -> PanConnectedFamily:
-    r = f.r
-    d_prime = k * r * r * 2 ** (2 * r + 2)
-    delta = f.min_degree()
-    if delta < 2 * d_prime and not best_effort:
-        raise PreconditionFailed(f"min degree {delta} below 2d' = {2 * d_prime}")
-    d_eff = d_prime if delta >= 2 * d_prime else max(1.0, delta / 2)
-    anchored = anchored_subgraph(f, x, d_eff, seed)
-    sub = anchored.subgraph
-    path = path_with_part(sub, anchored.anchors, k, enforce=not best_effort)
+    """Paths in f from x of the k lengths t+3..t+k+2 ending in the same two
+    edges, through an anchored subgraph of f rooted at x at density d.  The
+    caller picks d and checks delta(f) >= 2d' for d' = k r^2 2^(2r+2); at
+    d = d' every kept draw has minimum degree d'/(r 2^(2r+1)) = 2rk > rk, so
+    the path search skips that check."""
+    anchored = anchored_subgraph(f, x, d, seed)
+    path = path_with_part(anchored.subgraph, anchored.anchors, k, enforce=False)
     edges = list(path.edges[: k + 2])
     *head, e, last = edges
     t = anchored.m

@@ -307,6 +307,33 @@ def test_oversized_vertex_count_exits_one(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+# the header's r: thresholds such as c1 = 128 r^(2r+3) would not fit a float
+@pytest.mark.parametrize("text", [
+    "1000 5 0\n",
+    "1000 1000 1\n" + " ".join(map(str, range(1000))) + "\n",
+    "1000000000 5 0\n",
+], ids=["r1000-empty", "r1000-one-edge", "r1e9-empty"])
+@pytest.mark.parametrize("mode", ["all", "even"])
+def test_uniformity_past_a_float_exits_one(tmp_path, capsys, text, mode):
+    graph = tmp_path / "g.txt"
+    graph.write_text(text)
+    code, out, err = run(["find", "--input", str(graph), "--k", "2", "--mode", mode, "--json"],
+                         capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: uniformity r=") and err.count("\n") == 1
+
+
+def test_undecodable_config_exits_one(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("3 3 1\n0 1 2\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(["find", "--input", str(graph), "--k", "2", "--config", str(cfg)],
+                         capsys)
+    assert code == 1 and out == ""
+    assert f"--config {cfg}: 'utf-8' codec can't decode" in err and "Traceback" not in err
+
+
 def test_usage_error_exits_one(tmp_path, capsys):
     graph = tmp_path / "g.txt"
     graph.write_text("3 3 1\n0 1 2\n")
@@ -484,7 +511,7 @@ def test_sweep_csv_and_monotone_smoke(tmp_path, capsys):
 #
 # argv for each subcommand, drawn from its flag grammar with edge values: 0,
 # negative and huge numbers, NaN and infinities, ids out of range, and empty,
-# one-edge and malformed graphs.  Whatever the draw, the CLI exits 0, 1 or 2 and
+# one-edge, malformed and undecodable graphs.  Whatever the draw, the CLI exits 0, 1 or 2 and
 # prints no traceback.  n stays at 40 or below, --jobs at 1, and every search
 # budget is small, so no example starts a process or runs long.
 
@@ -501,7 +528,9 @@ GRAPHS = {
     "stray-id": "3 4 1\n0 1 7\n",
     "negative-id": "3 4 1\n-1 1 2\n",
     "huge-n": f"3 {HUGE} 0\n",
+    "huge-r": "1000 5 0\n",
     "header-only": "3 7\n",
+    "undecodable": b"\xff\xfe3 3 1\n0 1 2\n",
 }
 CYCLES = {
     "cycles-fano-triangle": [[[0, 1, 2], [2, 3, 6], [0, 3, 4]]],
@@ -509,6 +538,7 @@ CYCLES = {
     "cycles-none": [],
     "cycles-one-edge": [[[0, 1, 2]]],
     "cycles-ragged": [[[0, 1], [1, 2, 3, 4], []]],
+    "cycles-undecodable": b"\xff\xfe[]",
 }
 
 
@@ -562,9 +592,11 @@ def test_any_argv_exits_cleanly(tmp_path, capsys, monkeypatch, argv):
     paths = {"missing": str(tmp_path / "missing")}
     for name, text in GRAPHS.items():
         paths[name] = str(tmp_path / f"{name}.txt")
-        (tmp_path / f"{name}.txt").write_text(text)
+        data = text if isinstance(text, bytes) else text.encode()
+        (tmp_path / f"{name}.txt").write_bytes(data)
     for name, payload in CYCLES.items():
         paths[name] = str(tmp_path / f"{name}.json")
-        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+        (tmp_path / f"{name}.json").write_bytes(data)
     code, _, err = run([a.format(**paths) for a in argv], capsys)
     assert code in (0, 1, 2) and "Traceback" not in err

@@ -33,7 +33,7 @@ from lincyc import (
     transversal_cleanup,
     verify_cycle,
 )
-from lincyc.engine import _even_subfamily, dense_connected, log_ratio_cap
+from lincyc.engine import _anchor_density, _even_subfamily, dense_connected, log_ratio_cap
 from lincyc.oracle import DEFAULT_BUDGET
 from conftest import FANO_LINES, difference_projection
 
@@ -61,6 +61,14 @@ def test_constants_need_k_at_least_one():
     for k in (0, -1):
         with pytest.raises(PreconditionFailed, match="need k >= 1"):
             Constants(3, k)
+
+
+def test_constants_need_thresholds_that_fit_a_float():
+    c = Constants(79, 1)  # c1_even = 128 * 79^161, about 2^1022
+    assert [float(x) for x in (c.c1_all, c.c3_all, c.c1_even, c.c3_part)]
+    for r in (80, 255, 256, 10**9, 10**400):
+        with pytest.raises(PreconditionFailed, match=f"uniformity r={r} "):
+            Constants(r, 1)
 
 
 def test_layer_cap_arithmetic():
@@ -187,7 +195,7 @@ def test_closure_refuses_a_last_edge_without_one_other_anchor(monkeypatch, packi
     # the nested family's last edge f lies in F, so it holds exactly one
     # anchor (P1), and at layer >= 1 from x (P2), so not x: a family breaking
     # either is an invariant violation, not an anchor to skip
-    def broken(f, x, k, seed, best_effort):
+    def broken(f, x, k, d, seed):
         last = (x,) if anchors_in_f == "x" else ()
         return PanConnectedFamily(1, (), last, {})
 
@@ -231,6 +239,37 @@ def test_strict_mode_fails_cleanly_below_regime(packing150):
     report = even_consecutive_cycles(packing150, 2, seed=0, strict=True)
     assert not report.success
     assert report.regime["in_regime"] is False
+
+
+def test_anchor_density_takes_the_target_up_to_half_delta():
+    for strict in (False, True):
+        assert _anchor_density(4.5, 9, strict) == 4.5
+        assert _anchor_density(9216, 18432, strict) == 9216
+    assert _anchor_density(9216, 18431, True) is None
+    assert _anchor_density(9216, 18431, False) == 18431 / 2
+    assert _anchor_density(9216, 1, False) == 1.0
+
+
+def test_strict_nested_refusal_is_one_stage_failure(monkeypatch, packing150):
+    # no graph that fits in memory gets a strict run past the regime check, so
+    # the outer density is let through here; F's density d' = 2 * 9 * 2^8 is
+    # then refused once, before any nested search runs
+    density, asked = engine._anchor_density, []
+
+    def outer_passes(target, delta, strict):
+        asked.append(target)
+        return density(target, delta, strict and len(asked) > 1)
+
+    def unreachable(*args):
+        raise AssertionError("a refused density ran a nested search")
+
+    monkeypatch.setattr(engine, "_anchor_density", outer_passes)
+    monkeypatch.setattr(engine, "pan_connected", unreachable)
+    report = consecutive_cycles(packing150, 2, seed=0, strict=True)
+    assert asked[1] == 4608
+    assert not report.success and report.outcome.stage == "pan-connected"
+    assert report.outcome.reason.endswith("below 2d' = 9216")
+    assert [step["stage"] for step in report.trace] == ["core", "anchored", "pan-connected"]
 
 
 @pytest.mark.parametrize(

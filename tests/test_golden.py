@@ -7,7 +7,10 @@ the affected hashes and says so in CHANGES.md.
 
 The report corpus is one greedy packing on 150 vertices plus three thinnings
 of it to average degree 4, 8 and 16.  It covers boundary firings, internal
-failure traces and closure firings of the all-lengths pipeline.
+failure traces and closure firings of the all-lengths pipeline.  The same
+corpus is pinned again under strict=True, where every run is out of regime:
+the all-lengths pipeline refuses at its regime check and the even pipeline
+finds no layer at its threshold.
 
 The r-partite reduction is also pinned on its own, at r = 3, 4 and 5, with
 one sparse n = 2000, d = 6 instance like the even pipeline's largest inputs.
@@ -69,10 +72,10 @@ def instance(name: str) -> LinearHypergraph:
     return base if name == "full" else thinned(base, int(name[1:]))
 
 
-def report_digest(pipeline: str, name: str) -> str:
+def report_digest(pipeline: str, name: str, strict: bool = False) -> str:
     g = instance(name)
     run = PIPELINES[pipeline]
-    return sha("\n".join(run(g, 2, seed).to_json() for seed in SEEDS))
+    return sha("\n".join(run(g, 2, seed, strict=strict).to_json() for seed in SEEDS))
 
 
 def mert_digest(name: str, seed: int, explicit_root: bool, tmp_path, capsys) -> str:
@@ -137,6 +140,17 @@ REPORT_HASHES = {
     ('even', 'full'): 'e6fd1f83bdb70318dc4c3a077870f4d68b49fa7764bab45faa2232df5b9f5a26',
 }
 
+STRICT_REPORT_HASHES = {
+    ('all', 'd16'): '4de77f5f449e83c24d9e6f21eaae96c726f880c7556733b68c3567f39089b1bb',
+    ('all', 'd4'): '19f4ccd446d5fedcc2830fed013fc56c54559babd491ad5b06be56e3152d0a66',
+    ('all', 'd8'): '0320f48696251eb8f36f8d63411c368d252919dc8e51ea7c2680de8359a1dbd3',
+    ('all', 'full'): '71bb31ad6a6042d8ef55ae98146b8fb914f40b8a3f77bf14ebe72d5a948ec655',
+    ('even', 'd16'): 'b3d87ca1e43c4da4da8730d0d251566cfee5c0d3fe59c408554b063cb8826d79',
+    ('even', 'd4'): '979832e5376588839d4d89b07e50b42cfc542984ff65026c72882be45e1c3c66',
+    ('even', 'd8'): 'ae60a5795b00fd1b5f1ba9ad542d9f43eb0e9970568fefbf51a92b472d096600',
+    ('even', 'full'): '2f7accc6931c4cd960627ffad5c54e7ef9fd04721a053f2d009ab164e6add795',
+}
+
 MERT_HASHES = {
     ('d16', 0, False): '7fcee63a1fb903b4954c0e7f4a155012550830140e60320efc5f65af2627710d',
     ('d16', 5, False): '1c4ec73e47778cdcb34e565c0a1ec66da0447885ce6d6c8108bebe326e15c438',
@@ -172,6 +186,11 @@ PARTITE_HASHES = {
 @pytest.mark.parametrize("pipeline,name", sorted(REPORT_HASHES))
 def test_report_hashes(pipeline, name):
     assert report_digest(pipeline, name) == REPORT_HASHES[pipeline, name]
+
+
+@pytest.mark.parametrize("pipeline,name", sorted(STRICT_REPORT_HASHES))
+def test_strict_report_hashes(pipeline, name):
+    assert report_digest(pipeline, name, strict=True) == STRICT_REPORT_HASHES[pipeline, name]
 
 
 @pytest.mark.parametrize("name,seed,explicit_root", sorted(MERT_HASHES))

@@ -161,7 +161,7 @@ def test_constructions_reject_a_level_past_the_tree():
     m = build_mert(g, part, 0)
     for construct in (cycles_from_boundary, cycles_from_internal):
         with pytest.raises(PreconditionFailed, match="outside"):
-            construct(m, m.height + 1, 1, best_effort=True)
+            construct(m, m.height + 1, 1)
 
 
 def test_partition_indexes_its_classes_once():

@@ -37,6 +37,7 @@ from lincyc import (
     rainbow_special_path,
     verify_path,
 )
+from lincyc.engine import _anchor_density
 from lincyc.pathfinder import (
     ANCHOR_ATTEMPTS,
     AnchoredSubgraph,
@@ -458,7 +459,8 @@ def test_pan_connected_family(packing_core):
     anc = anchored_subgraph(g, x, g.min_degree() / 2, seed=0)
     start = sorted(anc.subgraph.vertices & anc.anchors)[0]
     k = 2
-    fam = pan_connected(anc.subgraph, start, k, seed=0, best_effort=True)
+    d = _anchor_density(k * 9 * 2**8, anc.subgraph.min_degree(), strict=False)
+    fam = pan_connected(anc.subgraph, start, k, d, seed=0)
     want = set(range(fam.t + 3, fam.t + k + 3))
     assert set(fam.paths) == want
     for ln, p in fam.paths.items():
@@ -472,7 +474,7 @@ def test_pan_connected_strict_precondition(packing_core):
     g = packing_core
     x = min(g.vertices)
     with pytest.raises(PreconditionFailed):
-        pan_connected(g, x, 2, seed=0, best_effort=False)
+        pan_connected(g, x, 2, 2 * 9 * 2**8, seed=0)
 
 
 # -- rainbow_special_path ------------------------------------------------------------
