@@ -21,9 +21,9 @@ import random
 import sys
 from typing import Optional, Sequence
 
-from .core import LinearHypergraph, _is_edge_list, verify_cycle
+from .core import LinearHypergraph, _everyone, _is_edge_list, verify_cycle
 from .engine import consecutive_cycles, even_consecutive_cycles, find_c2k
-from .errors import BudgetExceeded, LincycError, MalformedInput, NotFound
+from .errors import BudgetExceeded, LincycError, MalformedInput, NotFound, PreconditionFailed
 from .generators import GenSpec, generate, greedy_partial_steiner
 from .mert import build_mert
 from .oracle import enumerate_cycles
@@ -211,7 +211,7 @@ def _sweep_trial(params: tuple) -> tuple[float, bool, Optional[int], Optional[fl
     base = greedy_partial_steiner(n, r, seed=rng.getrandbits(32), effort=1.0)
     p = min(1.0, d * n / max(1, r * base.num_edges()))
     kept = [e for e in base.edges if rng.random() < p]
-    g = base._cut(tuple(kept), frozenset(range(n)))
+    g = base._cut(tuple(kept), _everyone(n))
     if g.num_edges() == 0:
         return d, False, None, None
     runner = consecutive_cycles if mode == "all" else even_consecutive_cycles
@@ -264,6 +264,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_mert(args) -> int:
     g = _read_graph(args.input)
+    if g.r > g.n:  # refused before the reduction's work of size r and r!
+        raise PreconditionFailed(f"uniformity r={g.r} exceeds n={g.n}: no edge fits")
     sub, partition = r_partite_reduction(g, seed=_seed(args))
     root = max_degree_root(sub) if args.root is None else args.root
     if root not in sub.vertices:

@@ -19,6 +19,7 @@ edges finds each witness edge.  All objects are immutable after construction.
 from __future__ import annotations
 
 import json
+import weakref
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -41,7 +42,8 @@ Edge = tuple[int, ...]
 Pair = tuple[int, int]
 
 # The parsers refuse a declared vertex count above this before building the
-# vertex set: frozenset(range(n)) costs about 66 bytes a vertex, 66 MB here.
+# vertex set: frozenset(range(n)) costs about 66 bytes a vertex, 66 MB here,
+# paid once per n among the live graphs (see _everyone).
 MAX_PARSED_VERTICES = 10**6
 
 
@@ -55,7 +57,8 @@ class LinearHypergraph:
     ``vertices`` is the active vertex set (support plus whatever isolated
     vertices the caller keeps around); induced subgraphs restrict it while
     leaving the ambient count ``n`` and all vertex ids untouched, so witnesses
-    found in a subgraph are witnesses of the original graph verbatim.
+    found in a subgraph are witnesses of the original graph verbatim.  A
+    graph spanning all of range(n) holds the one set `_everyone(n)`.
 
     ``incident`` (vertex -> ids of its edges) and ``edge_set`` stay unset
     until first read; `__getattr__` then fills the slot, so later reads find
@@ -79,7 +82,7 @@ class LinearHypergraph:
         self.n = n
         self.r = r
         self.edges: tuple[Edge, ...] = tuple(sorted(norm))
-        self.vertices = frozenset(range(n)) if vertices is None else _in_range(vertices, n)
+        self.vertices = _everyone(n) if vertices is None else _in_range(vertices, n)
         first_edge: dict[Pair, int] = {}
         for eid, e in enumerate(self.edges):
             for v in e:
@@ -213,6 +216,18 @@ class LinearHypergraph:
     @classmethod
     def from_json(cls, text: str) -> "LinearHypergraph":
         return cls.from_json_obj(json.loads(text))
+
+
+_EVERYONE: weakref.WeakValueDictionary[int, frozenset[int]] = weakref.WeakValueDictionary()
+
+
+def _everyone(n: int) -> frozenset[int]:
+    """frozenset(range(n)), one object shared by every live graph that spans
+    range(n); the entry dies with the last graph holding it."""
+    s = _EVERYONE.get(n)
+    if s is None:
+        s = _EVERYONE[n] = frozenset(range(n))
+    return s
 
 
 def _in_range(vertices: Iterable[int], n: int) -> frozenset[int]:

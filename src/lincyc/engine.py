@@ -71,6 +71,10 @@ class Constants:
         r, lr = self.r, math.log2(max(self.r, 1))
         if r >= 256 or max(4 * r + 8 + 3 * lr, 4 * r + 4 + 5 * lr, 7 + (2 * r + 3) * lr) >= 1024:
             raise PreconditionFailed(f"uniformity r={r} puts the thresholds past a float")
+        # so must the regime thresholds c1 * k, the largest products with k
+        lk = math.log2(self.k)
+        if lk + max(4 * r + 8 + 3 * lr, 7 + (2 * r + 3) * lr) >= 1024:
+            raise PreconditionFailed(f"k = 2^{lk:.1f} puts the thresholds past a float")
 
     @property
     def c1_all(self) -> float:

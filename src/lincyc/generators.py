@@ -19,7 +19,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Literal, Optional
 
-from .core import LinearCycle, LinearHypergraph, _assembled, _check_parsed_size, verify_cycle
+from .core import (
+    LinearCycle, LinearHypergraph, _assembled, _check_parsed_size, _everyone, verify_cycle,
+)
 from .errors import Infeasible, NonUniformEdge, PreconditionFailed, RetriesExhausted
 from .oracle import short_cycle_starts
 
@@ -150,7 +152,7 @@ def greedy_partial_steiner(
     # Every edge is a sorted r-tuple of distinct vertices of range(n), and
     # used rejected each reused pair, so the edges are distinct and linear:
     # sorting them is all the constructor would add.
-    return _assembled(n, r, tuple(sorted(edges)), frozenset(ids))
+    return _assembled(n, r, tuple(sorted(edges)), _everyone(n))
 
 
 def _uses_table(n: int, r: int, budget: int, sweep: bool) -> bool:
@@ -242,7 +244,7 @@ def high_girth_sparsify(
         expected_bound = math.inf
     rng = random.Random(seed)
     # each graph keeps a subsequence of base.edges, so each is cut from base
-    everyone = frozenset(range(n))
+    everyone = _everyone(n)
     best: Optional[SparsifyReport] = None
     for attempt in range(1, SPARSIFY_ATTEMPTS + 1):
         g = base._cut(tuple(e for e in base.edges if rng.random() < p), everyone)

@@ -516,6 +516,7 @@ def test_sweep_csv_and_monotone_smoke(tmp_path, capsys):
 # budget is small, so no example starts a process or runs long.
 
 HUGE = str(10**30)
+PAST_A_FLOAT = str(10**400)
 # mostly values the parser accepts, so most draws reach the program itself
 FLOATS = ["1", "2.5", "0.5", "6", "1e308", "0", "-0.5", "nan", "inf"]
 SEEDS = ["0", "7", "-3", HUGE, "x"]
@@ -529,6 +530,7 @@ GRAPHS = {
     "negative-id": "3 4 1\n-1 1 2\n",
     "huge-n": f"3 {HUGE} 0\n",
     "huge-r": "1000 5 0\n",
+    "r-past-n": "1000000000 5 0\n",
     "header-only": "3 7\n",
     "undecodable": b"\xff\xfe3 3 1\n0 1 2\n",
 }
@@ -560,7 +562,8 @@ def _files(flag, names):
 
 seeds = _maybe("--seed", SEEDS)
 cli_argv = st.one_of(
-    _argv("find", _files("--input", GRAPHS), _given("--k", ["2", "3", "1", "4", "0", "-1", HUGE]),
+    _argv("find", _files("--input", GRAPHS),
+          _given("--k", ["2", "3", "1", "4", "0", "-1", HUGE, PAST_A_FLOAT]),
           _maybe("--mode", ["all", "even", "c2k"]),
           st.sampled_from([[], ["--strict"]]), st.sampled_from([[], ["--json"]]), seeds),
     _argv("spectrum", _files("--input", GRAPHS),
@@ -573,7 +576,8 @@ cli_argv = st.one_of(
           _maybe("--lengths", ["3", "3,5", "4,4", "", "0", "-3", "100", HUGE]),
           _maybe("--background-density", FLOATS), seeds),
     _argv("sweep", _given("--n", ["24", "40", "7", "0", "-1", "1"]),
-          _maybe("--r", ["3", "4", "2", "1", "-1", HUGE]), _maybe("--k", ["2", "1", "3", "0", HUGE]),
+          _maybe("--r", ["3", "4", "2", "1", "-1", HUGE]),
+          _maybe("--k", ["2", "1", "3", "0", HUGE, PAST_A_FLOAT]),
           _given("--d-from", FLOATS), _given("--d-to", FLOATS),
           _given("--points", ["1", "2", "3", "0"]), _given("--trials", ["1", "2", "0"]),
           _given("--jobs", ["1"]), _maybe("--mode", ["all", "even"]), seeds),

@@ -4,8 +4,12 @@ serialization round-trips."""
 from __future__ import annotations
 
 import copy
+import gc
 import json
 import pickle
+import sys
+import tracemalloc
+import weakref
 from collections import namedtuple
 
 import pytest
@@ -548,6 +552,62 @@ def test_pipelines_and_witness_checks_leave_the_callers_graph_bare():
         assert not any(is_built(g, name) for name in INDEXES)
 
 
+# -- one vertex set per n ---------------------------------------------------------
+#
+# Every graph that spans all of range(n) holds the same frozenset, filed by n in
+# a weak-value registry: the set lives as long as some graph holds it.
+
+
+def test_graphs_of_one_n_share_one_vertex_set(fano):
+    text, doc = fano.to_text(), fano.to_json()
+    graphs = [LinearHypergraph(7, 3, FANO_LINES), build(7, 3, FANO_LINES),
+              LinearHypergraph.from_text(text), LinearHypergraph.from_json(doc),
+              LinearHypergraph.from_json_obj(json.loads(doc)), LinearHypergraph(7, 3, [])]
+    assert all(g.vertices is fano.vertices for g in graphs)
+    assert fano.vertices == frozenset(range(7))
+    assert LinearHypergraph(8, 3, FANO_LINES).vertices is not fano.vertices
+    assert LinearHypergraph(0, 3, []).vertices is LinearHypergraph(0, 3, []).vertices
+
+
+def test_the_shared_vertex_set_dies_with_its_last_graph():
+    n = 4093  # an n that no other test keeps a graph of
+    g, h = LinearHypergraph(n, 3, [(0, 1, 2)]), LinearHypergraph(n, 3, [])
+    gone = weakref.ref(g.vertices)
+    del g
+    gc.collect()
+    assert gone() is h.vertices
+    del h
+    gc.collect()
+    assert gone() is None
+    assert LinearHypergraph(n, 3, []).vertices == frozenset(range(n))
+
+
+def test_a_shared_vertex_set_keeps_equality_hashing_and_pickling():
+    edges = [(0, 1, 2), (2, 3, 4)]
+    g = LinearHypergraph(300, 3, edges)
+    twin = pickle.loads(pickle.dumps(g))
+    private = _assembled(300, 3, tuple(edges), frozenset(range(300)))
+    for other in (twin, private):
+        assert other == g and hash(other) == hash(g)
+        assert list(other.vertices) == list(g.vertices)
+
+
+def test_graphs_of_one_n_allocate_no_vertex_set_each():
+    # 20 private copies of a 2000-vertex set would take about 3.6 MB
+    edges = [(0, 1, 2), (0, 3, 4)]
+    keep = LinearHypergraph(2000, 3, edges)
+    one_set = sys.getsizeof(frozenset(range(2000)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        more = [LinearHypergraph(2000, 3, edges) for _ in range(20)]
+        allocated = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert allocated < one_set
+    assert all(g.vertices is keep.vertices for g in more)
+
+
 # -- cycle families ---------------------------------------------------------------
 
 
@@ -681,8 +741,8 @@ def test_from_text_returns_a_graph_or_a_lincyc_error(text):
 
 
 # Integers stay below 10,001 to keep each parsed graph small: the vertex set is
-# built as frozenset(range(n)) for any n up to MAX_PARSED_VERTICES, above which
-# the parsers raise TooLarge.
+# all of range(n) for any n up to MAX_PARSED_VERTICES, above which the parsers
+# raise TooLarge.
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-10, 10_000) | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),

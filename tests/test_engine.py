@@ -71,6 +71,17 @@ def test_constants_need_thresholds_that_fit_a_float():
             Constants(r, 1)
 
 
+def test_constants_need_a_k_whose_thresholds_fit_a_float():
+    # the regime thresholds c1 * k: c1_all * k = 2^24.75 k at r = 3, and
+    # c1_even * k = 2^1021.9 k at r = 79
+    for r, k in ((3, 2**999), (79, 2)):
+        c = Constants(r, k)
+        assert float(max(c.c1_all, c.c1_even) * k) < math.inf
+    for r, k in ((3, 2**1000), (3, 10**400), (2, 2**1005), (79, 8)):
+        with pytest.raises(PreconditionFailed, match="^k = 2\\^[0-9.]+ puts the thresholds"):
+            Constants(r, k)
+
+
 def test_layer_cap_arithmetic():
     c = Constants(3, 2)
     n, d = 2**20, 2 * 2**18  # d/k = 2^18

@@ -7,6 +7,7 @@ import math
 import random
 import sys
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from lincyc import (
     plant_cycles,
     verify_cycle,
 )
-from lincyc import generators
+from lincyc import cli, generators
 from lincyc.core import MAX_PARSED_VERTICES
 from lincyc.generators import SWEEP_LIMIT
 
@@ -503,6 +504,31 @@ def test_swept_edges_share_one_int_per_vertex():
     g = greedy_partial_steiner(300, 2, seed=3, effort=0.01)
     assert g.num_edges() == math.comb(300, 2)
     assert_one_int_per_vertex(g)
+
+
+# -- one vertex set per n ------------------------------------------------------------------
+#
+# Generated graphs span all of range(n), so they hold the one set the constructor
+# gives every graph of that n.
+
+
+def test_generated_graphs_of_one_n_share_one_vertex_set(monkeypatch):
+    n = 200
+    seen = []  # the sweep trial's graph, caught at its runner
+
+    def runner(g, k, seed):
+        seen.append(g)
+        return SimpleNamespace(success=False)
+
+    monkeypatch.setattr(cli, "even_consecutive_cycles", runner)
+    cli._sweep_trial((n, 3, 2, 4.0, "even", 5))
+    base = greedy_partial_steiner(n, 3, seed=1, effort=0.5)
+    graphs = [LinearHypergraph(n, 3, []), base, *seen,
+              plant_cycles(n, 3, [4, 5], 0.3, seed=2)[0],
+              high_girth_sparsify(base, 1.0, 3, seed=3).graph]
+    assert len(graphs) == 5 and all(g.vertices is base.vertices for g in graphs)
+    assert base.vertices == frozenset(range(n))
+    assert greedy_partial_steiner(n + 1, 3, seed=1).vertices is not base.vertices
 
 
 # -- generate dispatch ---------------------------------------------------------------------
