@@ -21,9 +21,9 @@ import random
 import sys
 from typing import Optional, Sequence
 
-from .core import LinearHypergraph, _everyone, _is_edge_list, verify_cycle
-from .engine import consecutive_cycles, even_consecutive_cycles, find_c2k
-from .errors import BudgetExceeded, LincycError, MalformedInput, NotFound, PreconditionFailed
+from .core import LinearHypergraph, _check_parsed_size, _everyone, _is_edge_list, verify_cycle
+from .engine import Constants, consecutive_cycles, even_consecutive_cycles, find_c2k
+from .errors import BudgetExceeded, EmptyCore, LincycError, MalformedInput, NotFound
 from .generators import GenSpec, generate, greedy_partial_steiner
 from .mert import build_mert
 from .oracle import enumerate_cycles
@@ -222,6 +222,7 @@ def _sweep_trial(params: tuple) -> tuple[float, bool, Optional[int], Optional[fl
 
 
 def cmd_sweep(args) -> int:
+    _check_parsed_size(args.n)  # gen refuses the same n
     seed = _seed(args)
     rng = random.Random(seed)
     points = args.points
@@ -264,8 +265,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_mert(args) -> int:
     g = _read_graph(args.input)
-    if g.r > g.n:  # refused before the reduction's work of size r and r!
-        raise PreconditionFailed(f"uniformity r={g.r} exceeds n={g.n}: no edge fits")
+    # refused before the reduction's n x r tallies; an r above n leaves no edge
+    if not g.edges:
+        raise EmptyCore("no vertex to root at: the graph is empty")
+    Constants(g.r, 1)  # an r whose thresholds do not fit a float, as find refuses
     sub, partition = r_partite_reduction(g, seed=_seed(args))
     root = max_degree_root(sub) if args.root is None else args.root
     if root not in sub.vertices:

@@ -22,7 +22,7 @@ from typing import Literal, Optional
 from .core import (
     LinearCycle, LinearHypergraph, _assembled, _check_parsed_size, _everyone, verify_cycle,
 )
-from .errors import Infeasible, NonUniformEdge, PreconditionFailed, RetriesExhausted
+from .errors import Infeasible, NonUniformEdge, PreconditionFailed, RetriesExhausted, TooLarge
 from .oracle import short_cycle_starts
 
 # full maximality sweep only when enumerating every r-set is affordable
@@ -87,7 +87,10 @@ def greedy_partial_steiner(
     budget = max(1, int(effort * n * (n - 1) / 2))
     sweep = math.comb(n, r) <= SWEEP_LIMIT
     # Both containers read used[k] and mark used[k] = 1.
-    used = bytearray(n * n) if _uses_table(n, r, budget, sweep) else _PairSet()
+    try:
+        used = bytearray(n * n) if _uses_table(n, r, budget, sweep) else _PairSet()
+    except MemoryError:
+        raise TooLarge(f"no memory for the {n} x {n} pair table of the packing") from None
     edges: list[tuple[int, ...]] = []
     # Each draw is CPython's randrange(n) inlined: take n.bit_length() random
     # bits and redraw while the value is >= n.  This consumes the same stream

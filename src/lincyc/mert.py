@@ -55,12 +55,6 @@ class Mert:
             return frozenset({self.root})
         return frozenset(v for e in self.segment_edges(i) for v in e)
 
-    def cumulative_vertices(self, i: int) -> frozenset[int]:
-        out: set[int] = set()
-        for j in range(0, min(i, self.height) + 1):
-            out |= self.segment_vertices(j)
-        return frozenset(out)
-
     @property
     def tree_vertices(self) -> frozenset[int]:
         return frozenset(v for lvl in self.levels for v in lvl)

@@ -36,11 +36,12 @@ from .reductions import (
 
 
 def dense_layer_subgraph(
-    g: LinearHypergraph, x: int, d: float, layers: Optional[BfsLayers] = None
-) -> tuple[int, LinearHypergraph]:
+    g: LinearHypergraph, x: int, d: float
+) -> tuple[int, LinearHypergraph, BfsLayers]:
     """A subgraph H of average degree >= d/4 whose edges all touch layer
     L_m(x) and avoid every earlier layer, with m bounded by
-    ceil(log n / log(delta/d)).
+    ceil(log n / log(delta/d)), returned as (m, H, the BFS layers from x).
+    A density outside 1 <= d <= delta/2 is refused before the BFS runs.
 
     One pass over g's edges files each edge that x reaches under its least
     BFS distance lo, in at[lo], and also in up[lo] when it meets L_{lo+1}: in
@@ -56,8 +57,10 @@ def dense_layer_subgraph(
     delta <= 2 and d = 1; then W has average degree at least 1 > d/4 and
     wins as m=1.
     """
-    delta = _layer_delta(g, d)
-    lay = layers if layers is not None else bfs_layers(g, x)
+    delta = g.min_degree()
+    if not (1 <= d <= delta / 2):
+        raise PreconditionFailed(f"need 1 <= d <= delta/2, got d={d}, delta={delta}")
+    lay = bfs_layers(g, x)
     # the precondition gives delta/d >= 2, and g has an edge, so n >= 2: the
     # cap is a positive int, the same as ceil(log2 n / log2(delta/d))
     top = min(log_ratio_cap(len(g.vertices), delta / d, 1, 0), len(lay.layers) - 1)
@@ -82,17 +85,8 @@ def dense_layer_subgraph(
             candidates.append((i - 1, with_prev))
         for m, es in candidates:  # the larger m first
             if _average_degree(es, r) >= d / 4:
-                return m, g._cut(tuple(es), frozenset(chain.from_iterable(es)))
+                return m, g._cut(tuple(es), frozenset(chain.from_iterable(es))), lay
     raise NotFound("no dense layer subgraph; check preconditions")
-
-
-def _layer_delta(g: LinearHypergraph, d: float) -> int:
-    """g's minimum degree delta, once d meets the layer precondition
-    1 <= d <= delta/2."""
-    delta = g.min_degree()
-    if not (1 <= d <= delta / 2):
-        raise PreconditionFailed(f"need 1 <= d <= delta/2, got d={d}, delta={delta}")
-    return delta
 
 
 def _average_degree(edges: Sequence[Edge], r: int) -> float:
@@ -145,9 +139,7 @@ def anchored_subgraph(
     RetriesExhausted if no draw was kept.  The draws the first three skip
     would only have advanced the call's own random generator.
     """
-    _layer_delta(g, d)  # a density the layer search refuses needs no BFS
-    lay = bfs_layers(g, x)
-    m, h = dense_layer_subgraph(g, x, d, lay)
+    m, h, lay = dense_layer_subgraph(g, x, d)
     v_m = sorted(h.vertices & lay.layer(m))
     h_edges, h_incident = h.edges, h.incident
     rng = random.Random(seed)

@@ -220,7 +220,7 @@ def test_criterion_5_tree_invariants_200_runs():
                 flat |= set(t)
         for j in range(2, m1.height + 1):
             prev = m1.levels[j - 1]
-            early = m1.cumulative_vertices(j - 2)
+            early = frozenset().union(*map(m1.segment_vertices, range(j - 1)))
             for e in m1.segment_edges(j):
                 assert len(prev.intersection(e)) == 1
                 assert not early.intersection(e)

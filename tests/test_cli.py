@@ -6,6 +6,7 @@ from __future__ import annotations
 import functools
 import json
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -433,6 +434,29 @@ def test_edgeless_graph_fails_without_traceback(tmp_path, capsys):
     assert code == 1 and err.startswith("error: ")
 
 
+def test_mert_refuses_an_edgeless_graph_before_the_reduction(tmp_path, capsys):
+    # r = n = 3000 would give the partite reduction 3000 x 3000 tallies
+    graph = tmp_path / "g.txt"
+    graph.write_text("3000 3000 0\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run(["mert", "--input", str(graph), "--seed", "0"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (1, "", "error: no vertex to root at: the graph is empty\n")
+    assert peak < 2**20
+
+
+def test_mert_refuses_an_r_that_find_refuses(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("100 100 1\n" + " ".join(map(str, range(100))) + "\n")
+    for command in (["find", "--k", "1"], ["mert"]):
+        code, out, err = run(command + ["--input", str(graph), "--seed", "0"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: uniformity r=100 puts the thresholds past a float\n"
+
+
 # -- spectrum / mert -----------------------------------------------------------------------
 
 
@@ -575,7 +599,7 @@ cli_argv = st.one_of(
           _maybe("--d", FLOATS), _maybe("--girth-floor", ["3", "5", "2", "0", "-1", HUGE]),
           _maybe("--lengths", ["3", "3,5", "4,4", "", "0", "-3", "100", HUGE]),
           _maybe("--background-density", FLOATS), seeds),
-    _argv("sweep", _given("--n", ["24", "40", "7", "0", "-1", "1"]),
+    _argv("sweep", _given("--n", ["24", "40", "7", "0", "-1", "1", "10000000"]),
           _maybe("--r", ["3", "4", "2", "1", "-1", HUGE]),
           _maybe("--k", ["2", "1", "3", "0", HUGE, PAST_A_FLOAT]),
           _given("--d-from", FLOATS), _given("--d-to", FLOATS),

@@ -251,6 +251,19 @@ def test_the_table_rule_keeps_the_set_for_a_huge_n_or_a_large_r():
     assert generators._uses_table(30, 27, 1, True)
 
 
+def test_a_pair_table_that_cannot_be_allocated_is_too_large(monkeypatch, capsys):
+    # bytearray looked up in the module, as the packing allocates its table
+    def no_memory(size):
+        raise MemoryError
+
+    monkeypatch.setattr(generators, "bytearray", no_memory, raising=False)
+    with pytest.raises(TooLarge, match="pair table"):
+        greedy_partial_steiner(60, 3, seed=0)
+    assert cli.main(["gen", "--n", "60", "--seed", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: no memory for the 60 x 60 pair table of the packing\n"
+
+
 # -- generated graphs are assembled, not validated ------------------------------------
 #
 # greedy_partial_steiner and high_girth_sparsify skip the validating

@@ -17,8 +17,8 @@ one sparse n = 2000, d = 6 instance like the even pipeline's largest inputs.
 The even pipeline is pinned at r = 4 on one of those instances, where it both
 fires and fails at the boundary and fails at the internal assembly.
 
-The internal assembly never fires in that corpus, so one report where it does
-is pinned on a stored instance, tests/data/even_sparse_internal.txt.
+The internal assembly never fires in that corpus, so one report for each of
+its two cases is pinned on a stored instance under tests/data/.
 
 Every rainbow search of the even corpus is pinned by its witness, since a
 changed witness whose construction then fails leaves the report unchanged.
@@ -229,13 +229,34 @@ INTERNAL_SEED = 515310
 INTERNAL_HASH = "3c56ea48e3f7ec51bcead11ad07a03a89e1b70c599534e9f644e6f62958ccfa2"
 
 
+# call 212 of the even-sparse benchmark batch at seed 5: n = 250, m = 355,
+# r = 3, k = 2; the internal assembly fires at t = 3, case 2, where fewer
+# projected pairs join anchors of one label than of two
+INTERNAL_CASE_2_INSTANCE = Path(__file__).parent / "data" / "even_sparse_internal_case2.txt"
+INTERNAL_CASE_2_SEED = 964766
+INTERNAL_CASE_2_HASH = "865f2ee8effc43d55c2a7c4be752b63085810527b544ec8d3dc2e0e8f33e934e"
+
+
+def internal_report(path: Path, seed: int):
+    """The even report on a stored instance at k = 2, and its fired steps as
+    (stage, t, case)."""
+    report = even_consecutive_cycles(LinearHypergraph.from_text(path.read_text()), 2, seed)
+    fired = [(s["stage"], s["t"], s["case"]) for s in report.trace if s.get("status") == "fired"]
+    return report, fired
+
+
 def test_internal_assembly_report_hash():
-    g = LinearHypergraph.from_text(INTERNAL_INSTANCE.read_text())
-    report = even_consecutive_cycles(g, 2, INTERNAL_SEED)
-    fired = [step for step in report.trace if step.get("status") == "fired"]
-    assert [(s["stage"], s["t"], s["case"]) for s in fired] == [("internal", 5, 1)]
+    report, fired = internal_report(INTERNAL_INSTANCE, INTERNAL_SEED)
+    assert fired == [("internal", 5, 1)]
     assert report.success and report.outcome.lengths == [12, 14]
     assert sha(report.to_json()) == INTERNAL_HASH
+
+
+def test_internal_assembly_case_2_report_hash():
+    report, fired = internal_report(INTERNAL_CASE_2_INSTANCE, INTERNAL_CASE_2_SEED)
+    assert fired == [("internal", 3, 2)]
+    assert report.success and report.outcome.lengths == [8, 10]
+    assert sha(report.to_json()) == INTERNAL_CASE_2_HASH
 
 
 # every rainbow_special_path call of the 48 even report runs above, in call

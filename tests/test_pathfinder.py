@@ -58,7 +58,7 @@ def packing_core():
 
 def test_layer_subgraph_fano(fano):
     for x in range(7):
-        m, h = dense_layer_subgraph(fano, x, 1.0)
+        m, h, _ = dense_layer_subgraph(fano, x, 1.0)
         assert m in (0, 1)
         assert h.average_degree() >= 0.25
         lay = bfs_layers(fano, x)
@@ -80,7 +80,7 @@ def test_layer_index_respects_log_bound(packing_core):
 
     d = g.min_degree() / 2
     x = min(g.vertices)
-    m, _ = dense_layer_subgraph(g, x, d)
+    m, _, _ = dense_layer_subgraph(g, x, d)
     cap = math.ceil(math.log2(len(g.vertices)) / math.log2(g.min_degree() / d))
     assert m <= cap
 
@@ -107,6 +107,32 @@ def test_anchored_postconditions(packing_core):
         assert v in anc.anchors
         assert (p.vertex_set() or {v}) & f.vertices == {v}
         verify_path(g, p.edges)
+
+
+def test_anchored_call_reads_delta_once_and_runs_one_bfs(monkeypatch, packing_core):
+    """The layer search holds the density check and the BFS: one anchored
+    call reads g's minimum degree once and runs one BFS, and a density it
+    refuses runs no BFS."""
+    g = packing_core
+    x, delta = max_degree_root(g), g.min_degree()
+    calls: Counter = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(lincyc.core.LinearHypergraph, "min_degree",
+                        counted("min_degree", lincyc.core.LinearHypergraph.min_degree))
+    monkeypatch.setattr(lincyc.pathfinder, "bfs_layers",
+                        counted("bfs_layers", lincyc.pathfinder.bfs_layers))
+    anchored_subgraph(g, x, delta / 2, seed=0)
+    assert calls == {"min_degree": 1, "bfs_layers": 1}
+    calls.clear()
+    with pytest.raises(PreconditionFailed):
+        anchored_subgraph(g, x, delta / 2 + 1, seed=0)
+    assert calls == {"min_degree": 1}
 
 
 def test_anchored_is_deterministic(packing_core):
@@ -301,7 +327,7 @@ def layered_cases(draw):
 @given(layered_cases())
 def test_draws_match_the_graph_per_draw_reference(case):
     g, x, d, seed = case
-    assert settle(dense_layer_subgraph, g, x, d) == settle(naive_dense_layer_subgraph, g, x, d)
+    assert settle(dense_layer_subgraph, g, x, d)[:2] == settle(naive_dense_layer_subgraph, g, x, d)
     assert (settle(anchored_subgraph, g, x, d, seed)
             == settle(naive_anchored_subgraph, g, x, d, seed))
 
@@ -329,7 +355,7 @@ def test_layer_subgraph_of_two_fano_planes_matches_the_reference():
     g = build(14, 3, FANO_LINES + [tuple(v + 7 for v in e) for e in FANO_LINES])
     for x in range(14):
         for d in (1, 1.5):
-            assert (settle(dense_layer_subgraph, g, x, d)
+            assert (settle(dense_layer_subgraph, g, x, d)[:2]
                     == settle(naive_dense_layer_subgraph, g, x, d))
 
 
@@ -364,7 +390,7 @@ def test_draws_match_the_reference_at_workload_scale(n, d, seed):
     g, x, d_eff = _pipeline_case(n, d, seed)
     got = settle(anchored_subgraph, g, x, d_eff, seed)
     assert got == settle(naive_anchored_subgraph, g, x, d_eff, seed)
-    m, h = dense_layer_subgraph(g, x, d_eff)
+    m, h, _ = dense_layer_subgraph(g, x, d_eff)
     assert got[0] == m == 1
     lm = bfs_layers(g, x).layer(m)
     assert any(len(lm.intersection(e)) >= 2 for e in h.edges)
@@ -374,7 +400,7 @@ def test_draws_index_only_g_and_h(monkeypatch):
     """One anchored call indexes g and its layer subgraph h, and nothing per
     draw: the draws and the degeneracy ceiling peel on h's incidence."""
     g, x, d_eff = _pipeline_case(300, 36, 0)
-    _, h = dense_layer_subgraph(g, x, d_eff)
+    _, h, _ = dense_layer_subgraph(g, x, d_eff)
     g = copy.copy(g)  # a copy builds its indexes again, inside the call
     indexed = []
 
@@ -411,7 +437,7 @@ def test_nested_draws_match_the_reference_at_workload_scale(seed):
         anc, log = anchored_subgraph(f, a, d, seed), []
         assert ((anc.m, anc.anchors, anc.subgraph, anc.witness_paths)
                 == settle(naive_anchored_subgraph, f, a, d, seed, log))
-        _, h = dense_layer_subgraph(f, a, d)
+        _, h, _ = dense_layer_subgraph(f, a, d)
         ceiling = degeneracy(h.edges, r, good_enough)
         if anc.subgraph.min_degree() == ceiling < good_enough:
             reached = next(i for i, (_, _, low) in enumerate(log) if low == ceiling)
