@@ -26,7 +26,7 @@ from .engine import Constants, consecutive_cycles, even_consecutive_cycles, find
 from .errors import BudgetExceeded, EmptyCore, LincycError, MalformedInput, NotFound
 from .generators import GenSpec, generate, greedy_partial_steiner
 from .mert import build_mert
-from .oracle import enumerate_cycles
+from .oracle import DEFAULT_BUDGET, enumerate_cycles
 from .reductions import max_degree_root, r_partite_reduction, rotate_to_root
 
 
@@ -288,12 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate an instance")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, default=3)
-    p.add_argument("--mode", choices=["steiner", "sparsified", "planted"], default="steiner")
-    p.add_argument("--d", type=float, default=4.0)
-    p.add_argument("--girth-floor", type=int, default=3)
+    p.add_argument("--r", type=int, default=GenSpec.r)
+    p.add_argument("--mode", choices=["steiner", "sparsified", "planted"], default=GenSpec.mode)
+    p.add_argument("--d", type=float, default=GenSpec.d)
+    p.add_argument("--girth-floor", type=int, default=GenSpec.girth_floor)
     p.add_argument("--lengths", type=_lengths, default="")
-    p.add_argument("--background-density", type=float, default=0.0)
+    p.add_argument("--background-density", type=float, default=GenSpec.background_density)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--witnesses-out", type=str, default=None)
     common(p)
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="oracle cycle-length spectrum")
     p.add_argument("--input", type=str, required=True)
     p.add_argument("--max-len", type=_int_at_least(3), default=10)
-    p.add_argument("--budget", type=_int_at_least(1), default=10**8)
+    p.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_BUDGET)
     common(p)
     p.set_defaults(func=cmd_spectrum)
 

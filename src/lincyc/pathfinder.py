@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import ColoredGraph, Edge, LinearHypergraph, LinearPath, Pair, _pair, verify_path
@@ -25,7 +25,7 @@ from .errors import (
 from .reductions import (
     BfsLayers,
     _counted_core,
-    bfs_layers,
+    bfs_rounds,
     degenerate_ordering,
     degeneracy,
     log_ratio_cap,
@@ -40,14 +40,14 @@ def dense_layer_subgraph(
 ) -> tuple[int, LinearHypergraph, BfsLayers]:
     """A subgraph H of average degree >= d/4 whose edges all touch layer
     L_m(x) and avoid every earlier layer, with m bounded by
-    ceil(log n / log(delta/d)), returned as (m, H, the BFS layers from x).
+    ceil(log n / log(delta/d)), returned as (m, H, the BFS walk from x).
     A density outside 1 <= d <= delta/2 is refused before the BFS runs.
 
-    One pass over g's edges files each edge that x reaches under its least
-    BFS distance lo, in at[lo], and also in up[lo] when it meets L_{lo+1}: in
-    a linear hypergraph an edge spans at most two consecutive layers.  So the
-    edges meeting L_i are at[i] (m = i) and up[i-1] (m = i - 1, only when
-    they are at least half of them).
+    The walk (bfs_rounds) stops at the first layer i that qualifies, or at
+    the bound, so it reads only the ball of radius i + 1 and holds layers 0
+    to i + 1.  An edge spans at most two consecutive layers, so the edges
+    meeting L_i are those of round i (m = i) and those of round i - 1 that
+    reach L_i (m = i - 1, only when they are at least half of them).
 
     Under the precondition the result always has m >= 1.  At i=1 the edges
     through x are a candidate (m=0) only when deg(x) >= |W|, W the other
@@ -60,32 +60,22 @@ def dense_layer_subgraph(
     delta = g.min_degree()
     if not (1 <= d <= delta / 2):
         raise PreconditionFailed(f"need 1 <= d <= delta/2, got d={d}, delta={delta}")
-    lay = bfs_layers(g, x)
     # the precondition gives delta/d >= 2, and g has an edge, so n >= 2: the
     # cap is a positive int, the same as ceil(log2 n / log2(delta/d))
-    top = min(log_ratio_cap(len(g.vertices), delta / d, 1, 0), len(lay.layers) - 1)
-    dist, r = lay.dist, g.r
-    at: list[list[Edge]] = [[] for _ in range(top + 1)]
-    up: list[list[Edge]] = [[] for _ in range(top + 1)]
-    for e in g.edges:
-        if e[0] not in dist:  # BFS reaches all of an edge or none of it
-            continue
-        ds = [dist[v] for v in e]
-        lo = min(ds)
-        if lo <= top:
-            at[lo].append(e)
-            if lo + 1 in ds:
-                up[lo].append(e)
-    for i in range(1, top + 1):
-        without, with_prev = at[i], up[i - 1]
-        if _average_degree(without + with_prev, r) < d / 2:
-            continue
-        candidates = [(i, without)]
-        if len(with_prev) >= len(without):
-            candidates.append((i - 1, with_prev))
-        for m, es in candidates:  # the larger m first
-            if _average_degree(es, r) >= d / 4:
-                return m, g._cut(tuple(es), frozenset(chain.from_iterable(es))), lay
+    cap = log_ratio_cap(len(g.vertices), delta / d, 1, 0)
+    edges, r = g.edges, g.r
+    without: list[Edge] = []
+    for i, (lay, ids) in enumerate(islice(bfs_rounds(g, x), cap + 1)):
+        li = lay.layer(i)
+        with_prev = [e for e in without if not li.isdisjoint(e)]  # round i - 1's, meeting L_i
+        without = [edges[eid] for eid in ids]
+        if i and _average_degree(without + with_prev, r) >= d / 2:
+            candidates = [(i, without)]
+            if len(with_prev) >= len(without):
+                candidates.append((i - 1, with_prev))
+            for m, es in candidates:  # the larger m first
+                if _average_degree(es, r) >= d / 4:
+                    return m, g._cut(tuple(es), frozenset(chain.from_iterable(es))), lay
     raise NotFound("no dense layer subgraph; check preconditions")
 
 

@@ -23,11 +23,11 @@ their draws can reach, and peels its nested cores on the same incidence.
 
 The r-partite reduction (Erdős–Kleitman) hill-climbs a random balanced
 r-partition one vertex at a time until the transversal edges reach r!/r^r of
-e(G).  It keeps, for every vertex and class, the number of edges at the vertex
-that would be transversal with it in that class.  A move re-prices only the
-other vertices of the mover's edges, so a sweep reads each vertex's best move
-off its tally.  The transversals are collected once, after the climb, and
-checked against the tallies and the target there.
+e(G).  It keeps, for every vertex of an edge and every class, the number of
+edges at the vertex that would be transversal with it in that class.  A move
+re-prices only the other vertices of the mover's edges, so a sweep reads each
+vertex's best move off its tally.  The transversals are collected once,
+after the climb, and checked against the tallies and the target there.
 """
 
 from __future__ import annotations
@@ -35,11 +35,10 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .core import Edge, LinearHypergraph, LinearPath, Pair, RPartition, _incidence, _pair
 from .errors import EmptyCore, InvariantViolation, PreconditionFailed, RetriesExhausted
@@ -193,7 +192,7 @@ def degenerate_ordering(edges: Iterable[Pair], d: float) -> PeelResult:
 @dataclass
 class BfsLayers:
     """Levels L_0, L_1, ... from a root, with one fixed shortest linear path
-    per reachable vertex.
+    per placed vertex; bfs_rounds stopped after round i holds L_0 to L_{i+1}.
 
     A shortest edge-walk in a linear hypergraph cannot have two non-consecutive
     edges meeting (that would shortcut it), so plain BFS over vertex -> edges ->
@@ -205,16 +204,7 @@ class BfsLayers:
     dist: dict[int, int]
     parent_vertex: dict[int, int]
     parent_edge: dict[int, tuple[int, ...]]
-
-    @cached_property
-    def layers(self) -> tuple[frozenset[int], ...]:
-        """Built once per instance; dist is not changed after bfs_layers."""
-        if not self.dist:
-            return ()
-        out: list[set[int]] = [set() for _ in range(max(self.dist.values()) + 1)]
-        for v, i in self.dist.items():
-            out[i].add(v)
-        return tuple(frozenset(s) for s in out)
+    layers: list[frozenset[int]]
 
     def layer(self, i: int) -> frozenset[int]:
         ls = self.layers
@@ -233,25 +223,45 @@ class BfsLayers:
         return path
 
 
-def bfs_layers(g: LinearHypergraph, x: int) -> BfsLayers:
+def bfs_rounds(g: LinearHypergraph, x: int) -> Iterator[tuple[BfsLayers, list[int]]]:
+    """The BFS from x, one layer per round.  Round i pops L_i in discovery
+    (FIFO) order, places L_{i+1} in the BfsLayers it yields, and yields with
+    it the ascending ids of the edges first met at L_i, whose least distance
+    is i.  An edge met before has every vertex placed, so it is skipped."""
     if x not in g.vertices:
         raise PreconditionFailed(f"root {x} is not a vertex")
-    dist = {x: 0}
-    parent_vertex: dict[int, int] = {}
-    parent_edge: dict[int, tuple[int, ...]] = {}
-    q = deque([x])
+    lay = BfsLayers(x, {x: 0}, {}, {}, [frozenset((x,))])
+    dist, parent_vertex, parent_edge = lay.dist, lay.parent_vertex, lay.parent_edge
     edges, incident = g.edges, g.incident
-    while q:
-        u = q.popleft()
-        for eid in incident.get(u, ()):
-            e = edges[eid]
-            for w in e:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    parent_vertex[w] = u
-                    parent_edge[w] = e
-                    q.append(w)
-    return BfsLayers(x, dist, parent_vertex, parent_edge)
+    met: set[int] = set()
+    frontier, i = [x], 0
+    while frontier:
+        nxt: list[int] = []
+        ids: list[int] = []
+        for u in frontier:
+            for eid in incident.get(u, ()):
+                if eid in met:
+                    continue
+                met.add(eid)
+                ids.append(eid)
+                e = edges[eid]
+                for w in e:
+                    if w not in dist:
+                        dist[w] = i + 1
+                        parent_vertex[w] = u
+                        parent_edge[w] = e
+                        nxt.append(w)
+        if nxt:
+            lay.layers.append(frozenset(nxt))
+        yield lay, sorted(ids)
+        frontier, i = nxt, i + 1
+
+
+def bfs_layers(g: LinearHypergraph, x: int) -> BfsLayers:
+    """The whole BFS from x; bfs_rounds always yields round 0."""
+    for lay, _ in bfs_rounds(g, x):
+        pass
+    return lay
 
 
 def log_ratio_cap(n: int, d: float, k: int, c: float) -> Optional[int]:
@@ -314,11 +324,12 @@ def r_partite_reduction(
     """Random balanced r-partition plus single-vertex hill climbing until the
     partite subgraph keeps at least (r!/r^r) e(G) edges.
 
-    Each of up to RESTARTS attempts shuffles a balanced labelling and sweeps
-    the vertices in id order until a sweep moves none.  A sweep moves v to
-    the first class that gains the most transversal edges at v, if any class
-    gains at least one.  The transversal edges are collected once, after the
-    climb, and the attempt stands if they reach the target.
+    Each of up to RESTARTS attempts shuffles a balanced labelling of all the
+    vertices and sweeps the vertices of edges in id order until a sweep moves
+    none.  A sweep moves v to the first class that gains the most transversal
+    edges at v, if any class gains at least one.  The transversal edges are
+    collected once, after the climb, and the attempt stands if they reach the
+    target.
 
     tally[v][p] counts the edges at v that would be transversal with v in
     class p, so the gain of moving v to p is tally[v][p] - tally[v][part[v]].
@@ -334,6 +345,9 @@ def r_partite_reduction(
     verts = sorted(g.vertices)
     # a local incidence, like min_degree_core's, leaves none on the caller's g
     edges, incident = g.edges, _incidence(g.edges)
+    # an isolated vertex would have an all-zero tally and never move, so
+    # only the vertices of an edge get a row and are swept
+    support = sorted(incident)
     rng = random.Random(seed)
     for _ in range(RESTARTS):
         labels = [i % r for i in range(len(verts))]
@@ -341,7 +355,9 @@ def r_partite_reduction(
         part = [0] * g.n
         for v, p in zip(verts, labels):
             part[v] = p
-        tally = [[0] * r for _ in range(g.n)]
+        tally: list = [None] * g.n
+        for v in support:
+            tally[v] = [0] * r
         if r == 3:  # the same rule unrolled for pairs, the common case
             for a, b, c in edges:
                 pa, pb, pc = part[a], part[b], part[c]
@@ -360,7 +376,7 @@ def r_partite_reduction(
         moved = True
         while moved:
             moved = False
-            for v in verts:
+            for v in support:
                 row = tally[v]
                 best, p = max(row), part[v]
                 if best <= row[p]:
@@ -398,7 +414,7 @@ def r_partite_reduction(
                       if part[e[0]] != part[e[1]] != part[e[2]] != part[e[0]])
         else:
             t = tuple(e for e in edges if len({part[v] for v in e}) == r)
-        if sum(tally[v][part[v]] for v in verts) != r * len(t):
+        if sum(tally[v][part[v]] for v in support) != r * len(t):
             raise InvariantViolation("partite tallies disagree with the transversal count")
         if len(t) >= target:
             parts = tuple(frozenset(v for v in verts if part[v] == i) for i in range(r))

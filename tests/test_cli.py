@@ -21,7 +21,7 @@ from lincyc import (
     greedy_partial_steiner,
 )
 from lincyc.core import MAX_PARSED_VERTICES
-from lincyc.oracle import short_cycle_starts
+from lincyc.oracle import DEFAULT_BUDGET, short_cycle_starts
 from conftest import FANO_LINES
 
 
@@ -48,6 +48,15 @@ def test_gen_planted_writes_parseable_graph(tmp_path, capsys):
     assert enumerate_cycles(g, 6).lengths == {3}
     payload = json.loads(wits.read_text())
     assert len(payload) == 1 and len(payload[0]) == 3
+
+
+def test_parser_defaults_are_the_library_defaults():
+    gen = cli.build_parser().parse_args(["gen", "--n", "5"])
+    spec = generators.GenSpec(n=5)
+    for key in ("r", "mode", "d", "girth_floor", "background_density"):
+        assert getattr(gen, key) == getattr(spec, key)
+    spectrum = cli.build_parser().parse_args(["spectrum", "--input", "g.txt"])
+    assert spectrum.budget == DEFAULT_BUDGET
 
 
 def test_gen_config_file_with_flag_override(tmp_path, capsys):

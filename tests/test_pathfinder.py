@@ -85,6 +85,28 @@ def test_layer_index_respects_log_bound(packing_core):
     assert m <= cap
 
 
+def test_layer_search_walks_only_the_ball_it_needs():
+    """The layer search stops its BFS at the layer it returns.  On the scale
+    recipe's core at n = 2000, d = 8, it stops at m = 1 holding three of the
+    five layers, with the full BFS's distances and parents on those."""
+    n, d = 2000, 8
+    base = greedy_partial_steiner(n, 3, seed=1, effort=min(1, 4 * d / (3 * (n - 1))))
+    rng = random.Random(1)
+    p = d * n / (3 * base.num_edges())
+    g = build(n, 3, [e for e in base.edges if rng.random() < p])
+    core = min_degree_subgraph(g, g.average_degree())
+    x = max_degree_root(core)
+    m, _, lay = dense_layer_subgraph(core, x, core.min_degree() / 2)
+    full = bfs_layers(core, x)
+    depth = len(lay.layers)
+    assert lay.layers == full.layers[:depth]
+    assert lay.dist == {v: i for v, i in full.dist.items() if i < depth}
+    assert lay.parent_vertex == {v: full.parent_vertex[v] for v in lay.dist if v != x}
+    assert lay.parent_edge == {v: full.parent_edge[v] for v in lay.dist if v != x}
+    assert depth <= m + 3
+    assert depth < len(full.layers)
+
+
 # -- anchored_subgraph --------------------------------------------------------------
 
 
@@ -125,10 +147,10 @@ def test_anchored_call_reads_delta_once_and_runs_one_bfs(monkeypatch, packing_co
 
     monkeypatch.setattr(lincyc.core.LinearHypergraph, "min_degree",
                         counted("min_degree", lincyc.core.LinearHypergraph.min_degree))
-    monkeypatch.setattr(lincyc.pathfinder, "bfs_layers",
-                        counted("bfs_layers", lincyc.pathfinder.bfs_layers))
+    monkeypatch.setattr(lincyc.pathfinder, "bfs_rounds",
+                        counted("bfs_rounds", lincyc.pathfinder.bfs_rounds))
     anchored_subgraph(g, x, delta / 2, seed=0)
-    assert calls == {"min_degree": 1, "bfs_layers": 1}
+    assert calls == {"min_degree": 1, "bfs_rounds": 1}
     calls.clear()
     with pytest.raises(PreconditionFailed):
         anchored_subgraph(g, x, delta / 2 + 1, seed=0)

@@ -6,7 +6,8 @@ from __future__ import annotations
 import functools
 import math
 import random
-from collections import Counter
+import tracemalloc
+from collections import Counter, deque
 from itertools import chain
 
 import pytest
@@ -29,7 +30,13 @@ from lincyc import (
     r_partite_reduction,
 )
 from lincyc.core import _incidence
-from lincyc.reductions import PeelResult, _counted_core, degeneracy, min_degree_core
+from lincyc.reductions import (
+    PeelResult,
+    _counted_core,
+    bfs_rounds,
+    degeneracy,
+    min_degree_core,
+)
 from conftest import FANO_LINES
 
 
@@ -365,6 +372,52 @@ def test_layer_paths_leave_lower_layers_only_in_their_last_edge(case):
             assert all(lay.dist[u] < i for u in rest)
 
 
+def fifo_bfs(g, x):
+    """The BFS as a FIFO queue, the reference for the round walk: its
+    distances and parents, and its layers grouped from the distances."""
+    if x not in g.vertices:
+        raise PreconditionFailed(f"root {x} is not a vertex")
+    dist = {x: 0}
+    parent_vertex: dict[int, int] = {}
+    parent_edge: dict[int, tuple[int, ...]] = {}
+    q = deque([x])
+    edges, incident = g.edges, g.incident
+    while q:
+        u = q.popleft()
+        for eid in incident.get(u, ()):
+            e = edges[eid]
+            for w in e:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    parent_vertex[w] = u
+                    parent_edge[w] = e
+                    q.append(w)
+    depth = max(dist.values()) + 1
+    layers = [frozenset(v for v, i in dist.items() if i == j) for j in range(depth)]
+    return dist, parent_vertex, parent_edge, layers
+
+
+@settings(max_examples=100, deadline=None)
+@given(linear_graphs())
+def test_round_walk_matches_the_fifo_bfs(case):
+    """From every root, disconnected graphs included, the drained walk is the
+    FIFO BFS; round i holds layers 0 to i + 1 and yields, ascending, the ids
+    of the edges whose least distance is i."""
+    g, _ = case
+    for x in sorted(g.vertices):
+        dist, parent_vertex, parent_edge, layers = fifo_bfs(g, x)
+        lay = bfs_layers(g, x)
+        assert (lay.dist, lay.parent_vertex, lay.parent_edge, lay.layers) == (
+            dist, parent_vertex, parent_edge, layers)
+        least = [min(dist.get(v, math.inf) for v in e) for e in g.edges]
+        rounds = 0
+        for i, (walk, ids) in enumerate(bfs_rounds(g, x)):
+            assert walk.layers == layers[: i + 2]
+            assert ids == [eid for eid, lo in enumerate(least) if lo == i]
+            rounds += 1
+        assert rounds == len(layers)
+
+
 def naive_core(edges, r, d):
     """Drop every edge at a vertex of degree below d/r, all at once, until
     none is left; the kept edges in input order and their minimum degree."""
@@ -563,6 +616,22 @@ def assert_same_climb(g, seed):
 @given(partite_cases())
 def test_partite_reduction_matches_naive_climb(case):
     assert_same_climb(*case)
+
+
+def test_partite_tallies_cover_only_the_vertices_of_an_edge():
+    """An isolated vertex gets no tally row, so one edge at r = 79 among
+    5,000 vertices climbs without n rows of r counts, and still fails with
+    the same message."""
+    g = build(5000, 79, [tuple(range(79))])
+    tracemalloc.start()
+    try:
+        with pytest.raises(RetriesExhausted) as err:
+            r_partite_reduction(g, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "r-partite reduction below the r!/r^r guarantee (after 64 attempts)"
+    assert peak < 1 << 20
 
 
 @functools.lru_cache(maxsize=None)
