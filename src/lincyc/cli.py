@@ -361,6 +361,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except LincycError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -7,6 +7,16 @@ given, so a graph built from another graph's edges shares their tuples.
 Graphs from outside the package are validated (uniformity, range,
 linearity): the constructor, `build`, `from_text` and
 `from_json`/`from_json_obj` all go through it, and so does `plant_cycles`.
+The constructor checks in bulk, by passes over the columns of the edge list
+(column i holds every edge's i-th vertex).  Canonical input, plain r-tuples
+each strictly increasing and in strictly increasing order, is kept as given
+with no per-edge work; any other input is sorted and deduplicated edge by
+edge, which also names the first edge that is not r distinct vertices.  The
+range check asks whether the vertex set holds every column entry, and the
+linearity check files each pair u < v of each edge under the key u*n + v:
+the graph is linear exactly when the keys number m * C(r,2).  Only when a
+check fails does the ordered scan run, to raise the error for the first
+offending edge in edge order.
 Everything else is assembled by `_assembled`, which only sets the fields:
 `induced` and `edge_induced` cut subgraphs, linear too, from a validated
 parent, and the packing and sparsifying generators assemble their output from
@@ -24,8 +34,10 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations
-from typing import Iterable, Literal, Optional, Sequence
+from itertools import chain, combinations, islice, repeat
+from math import comb
+from operator import add, itemgetter, lt, mul
+from typing import Iterable, Literal, NoReturn, Optional, Sequence
 
 from .errors import (
     DuplicatePair,
@@ -71,26 +83,28 @@ class LinearHypergraph:
                  vertices: Optional[Iterable[int]] = None):
         if r < 2:
             raise NonUniformEdge((), r)
-        norm = set()
-        for e in edges:
-            t = tuple(sorted(e))
-            if len(t) != r or len(set(t)) != r:
-                raise NonUniformEdge(t, r)
-            # keep a caller's canonical tuple, often another graph's edge,
-            # rather than a second copy of it
-            norm.add(e if type(e) is tuple and e == t else t)
+        edges = tuple(edges)
+        if not _is_canonical(edges, r):
+            norm = set()
+            for e in edges:
+                t = tuple(sorted(e))
+                if len(t) != r or len(set(t)) != r:
+                    raise NonUniformEdge(t, r)
+                # keep a caller's canonical tuple, often another graph's edge,
+                # rather than a second copy of it
+                norm.add(e if type(e) is tuple and e == t else t)
+            edges = tuple(sorted(norm))
+        # Column i holds every edge's i-th vertex.  itemgetter rather than
+        # zip(*edges), which makes an iterator per edge; and no columns for no
+        # edges, where r may be anything.
+        cols = [list(map(itemgetter(i), edges)) for i in range(r)] if edges else []
         self.n = n
         self.r = r
-        self.edges: tuple[Edge, ...] = tuple(sorted(norm))
+        self.edges: tuple[Edge, ...] = edges
         self.vertices = _everyone(n) if vertices is None else _in_range(vertices, n)
-        first_edge: dict[Pair, int] = {}
-        for eid, e in enumerate(self.edges):
-            for v in e:
-                if v not in self.vertices:  # a subset of range(n) by now
-                    raise VertexOutOfRange(v, n)
-            for p in combinations(e, 2):
-                if first_edge.setdefault(p, eid) != eid:
-                    raise DuplicatePair(p, first_edge[p], eid)
+        if not (self.vertices.issuperset(chain.from_iterable(cols))
+                and len(_pair_keys(cols, n)) == len(edges) * comb(r, 2)):
+            _name_violation(self)
 
     def __getattr__(self, name):
         # Reached only when normal lookup fails, as it does for an unset slot.
@@ -238,6 +252,44 @@ def _in_range(vertices: Iterable[int], n: int) -> frozenset[int]:
     if stray:
         raise VertexOutOfRange(min(stray), n)
     return s
+
+
+def _is_canonical(edges: tuple, r: int) -> bool:
+    """Whether edges are plain r-tuples, each strictly increasing, in
+    strictly increasing order; False for no edges, which need no work."""
+    try:
+        return (set(map(type, edges)) == {tuple} and set(map(len, edges)) == {r}
+                and all(map(lt, edges, islice(edges, 1, None)))
+                and all(all(map(lt, map(itemgetter(i), edges), map(itemgetter(i + 1), edges)))
+                        for i in range(r - 1)))
+    except TypeError:  # entries that do not compare: the loop reports them
+        return False
+
+
+def _pair_keys(cols: list[list[int]], n: int) -> set[int]:
+    """The key u*n + v of every vertex pair u < v of every edge, given as
+    columns of vertices in range(n): a graph is linear exactly when no two
+    pairs share a key, so when there are m * C(r,2) keys."""
+    keys: set[int] = set()
+    for i, col in enumerate(cols):
+        row = list(map(mul, col, repeat(n)))
+        for later in cols[i + 1:]:
+            keys.update(map(add, row, later))
+    return keys
+
+
+def _name_violation(g: LinearHypergraph) -> NoReturn:
+    """Raise the error for the first edge of g, in edge order, with a vertex
+    outside g.vertices or a pair that an earlier edge holds."""
+    first_edge: dict[Pair, int] = {}
+    for eid, e in enumerate(g.edges):
+        for v in e:
+            if v not in g.vertices:  # a subset of range(n) by now
+                raise VertexOutOfRange(v, g.n)
+        for p in combinations(e, 2):
+            if first_edge.setdefault(p, eid) != eid:
+                raise DuplicatePair(p, first_edge[p], eid)
+    raise InvariantViolation("the bulk checks found a violation that the scan did not")
 
 
 def _incidence(edges: Sequence[Edge]) -> dict[int, list[int]]:

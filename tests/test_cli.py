@@ -5,13 +5,18 @@ from __future__ import annotations
 
 import functools
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import lincyc
 from lincyc import (
     LinearHypergraph,
     cli,
@@ -315,6 +320,49 @@ def test_oversized_vertex_count_exits_one(tmp_path, capsys):
     code, _, err = run(["find", "--input", str(graph), "--k", "2"], capsys)
     assert code == 1 and err.startswith("error: vertex count")
     assert err.count("\n") == 1
+
+
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    def exhausted(text):
+        raise MemoryError
+
+    monkeypatch.setattr(LinearHypergraph, "from_text", exhausted)
+    graph = tmp_path / "g.txt"
+    graph.write_text("3 3 1\n0 1 2\n")
+    assert run(["find", "--input", str(graph), "--k", "2"], capsys) == (
+        1, "", "error: out of memory\n")
+
+
+# Measured on Linux x86-64 with Python 3.11: `find --mode all` on a one-edge
+# graph runs under an address-space limit of 24 MB, and on an edgeless graph
+# at the parser's cap of 10**6 vertices it needs 88 MB, nearly all of it the
+# vertex set that parsing builds (a 70 MB tracemalloc peak, the same for the
+# parse alone).  `--mode all` runs no partite reduction, so the big run
+# fails on the graph's own size.  The limit sits about halfway, in ratio,
+# between the two and binds the child alone.
+AS_LIMIT = 48 << 20
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="RLIMIT_AS is enforced on Linux")
+def test_out_of_memory_in_a_child_is_one_error_line(tmp_path):
+    resource = pytest.importorskip("resource")
+
+    def find(text):
+        graph = tmp_path / "g.txt"
+        graph.write_text(text)
+        return subprocess.run(
+            [sys.executable, "-m", "lincyc.cli", "find", "--mode", "all", "--input", str(graph),
+             "--k", "2", "--seed", "0"],
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (AS_LIMIT, AS_LIMIT)),
+            env={**os.environ, "PYTHONPATH": str(Path(lincyc.__file__).parents[1])},
+            capture_output=True, text=True, timeout=120,
+        )
+
+    small = find("3 3 1\n0 1 2\n")  # the limit leaves room for a small run
+    assert small.returncode == 2 and small.stderr == ""
+    big = find(f"3 {MAX_PARSED_VERTICES} 0\n")
+    assert (big.returncode, big.stdout, big.stderr) == (1, "", "error: out of memory\n")
 
 
 # the header's r: thresholds such as c1 = 128 r^(2r+3) would not fit a float

@@ -11,6 +11,7 @@ import sys
 import tracemalloc
 import weakref
 from collections import namedtuple
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,7 +39,7 @@ from lincyc import (
     verify_cycle,
     verify_path,
 )
-from lincyc.core import MAX_PARSED_VERTICES, _assembled, _incidence
+from lincyc.core import MAX_PARSED_VERTICES, _assembled, _everyone, _in_range, _incidence
 from conftest import FANO_LINES, planted_c4
 
 
@@ -539,6 +540,165 @@ def test_other_edges_become_new_sorted_plain_tuples(shape):
         for row in given:
             row[:] = [0, 0, 0]
         assert g.edges == tuple(sorted(FANO_LINES))
+
+
+# -- the constructor's checks against the scan they replaced ------------------------
+#
+# The constructor checks canonical input (plain sorted r-tuples in sorted
+# order) by passes over its columns and a set of pair keys, and runs the
+# ordered scan only to name a violation.  The reference is the constructor's
+# body before that, verbatim, returning what it stored.
+
+
+def reference_init(n, r, edges, vertices=None):
+    if r < 2:
+        raise NonUniformEdge((), r)
+    norm = set()
+    for e in edges:
+        t = tuple(sorted(e))
+        if len(t) != r or len(set(t)) != r:
+            raise NonUniformEdge(t, r)
+        # keep a caller's canonical tuple, often another graph's edge,
+        # rather than a second copy of it
+        norm.add(e if type(e) is tuple and e == t else t)
+    edges = tuple(sorted(norm))
+    vertices = _everyone(n) if vertices is None else _in_range(vertices, n)
+    first_edge = {}
+    for eid, e in enumerate(edges):
+        for v in e:
+            if v not in vertices:  # a subset of range(n) by now
+                raise VertexOutOfRange(v, n)
+        for p in combinations(e, 2):
+            if first_edge.setdefault(p, eid) != eid:
+                raise DuplicatePair(p, first_edge[p], eid)
+    return edges, vertices
+
+
+ROWS = {k: namedtuple(f"Row{k}", [f"v{i}" for i in range(k)]) for k in range(1, 6)}
+SHAPES = {
+    "tuple": tuple,
+    "list": list,
+    "unsorted-tuple": lambda e: tuple(e)[::-1],
+    "namedtuple": lambda e: ROWS[len(e)](*e),
+}
+
+
+@st.composite
+def constructor_inputs(draw):
+    """A greedy packing's edges with up to three faulty edges inserted; half
+    the time canonical apart from the faults (sorted plain tuples, sorted
+    again after the faults go in), otherwise reordered and reshaped.  With
+    them the container they come in and a vertices= argument or None."""
+    r = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(min_value=r, max_value=24))
+    base = greedy_partial_steiner(n, r, seed=draw(st.integers(0, 10**6)),
+                                  effort=draw(st.sampled_from([0.2, 1.0])))
+    canonical = draw(st.booleans())
+    order = "sorted" if canonical else draw(
+        st.sampled_from(["sorted", "shuffled", "reversed", "duplicated"]))
+    rows = list(base.edges)
+    if order == "shuffled":
+        rows = draw(st.permutations(rows))
+    elif order == "reversed":
+        rows.reverse()
+    elif order == "duplicated" and rows:
+        rows += draw(st.lists(st.sampled_from(rows), min_size=1, max_size=5))
+
+    def distinct(pool, k):
+        if k == 0:
+            return []
+        return draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k, unique=True))
+
+    everyone = list(range(n))
+    pair_faults = st.sampled_from(["early-pair", "late-pair"])
+    other_faults = st.sampled_from(["short", "repeated", "minus-one", "n", "1.5"])
+    for fault in draw(st.lists(pair_faults | other_faults, max_size=3)):
+        if fault == "short":
+            bad = distinct(everyone, r - 1)
+        elif fault == "repeated":
+            bad = distinct(everyone, r - 1)
+            bad.append(bad[0])
+        elif fault in ("minus-one", "n", "1.5"):
+            bad = distinct(everyone, r - 1) + [{"minus-one": -1, "n": n, "1.5": 1.5}[fault]]
+        else:  # a second edge through a pair of the first or the last edge
+            if not base.edges:
+                continue
+            e = base.edges[0 if fault == "early-pair" else -1]
+            rest = [v for v in everyone if v not in e]
+            if len(rest) < r - 2:
+                continue
+            bad = list(draw(st.sampled_from(list(combinations(e, 2))))) + distinct(rest, r - 2)
+        if canonical or draw(st.booleans()):
+            bad.sort()
+        else:
+            bad = draw(st.permutations(bad))
+        rows.insert(draw(st.integers(0, len(rows))), tuple(bad))
+    if order == "sorted":
+        rows.sort()
+    shape = "tuple" if canonical else draw(st.sampled_from(sorted(SHAPES) + ["mixed"]))
+    shapes = (draw(st.lists(st.sampled_from(sorted(SHAPES)), min_size=len(rows),
+                            max_size=len(rows)))
+              if shape == "mixed" else [shape] * len(rows))
+    rows = [SHAPES[s](e) for s, e in zip(shapes, rows)]
+    container = draw(st.sampled_from(["list", "tuple", "generator"]))
+    make = {"list": lambda: list(rows), "tuple": lambda: tuple(rows),
+            "generator": lambda: (e for e in rows)}[container]
+    support = sorted({v for e in base.edges for v in e})
+    vertices = draw(st.just("none")
+                    | st.sampled_from(["support", "everyone", "missing-one", "stray"]))
+    if vertices == "missing-one" and support:
+        support.remove(draw(st.sampled_from(support)))
+    if vertices == "stray":
+        support.append(n)
+    chosen = None if vertices == "none" else frozenset(everyone if vertices == "everyone"
+                                                         else support)
+    return n, r, rows, make, chosen
+
+
+def outcome(construct):
+    try:
+        return construct()
+    except LincycError as err:
+        return err
+
+
+@settings(max_examples=400, deadline=None)
+@given(constructor_inputs())
+def test_the_constructor_matches_the_ordered_scan(case):
+    n, r, rows, make, vertices = case
+    want = outcome(lambda: reference_init(n, r, make(), vertices))
+    got = outcome(lambda: LinearHypergraph(n, r, make(), vertices=vertices))
+    if isinstance(want, LincycError):
+        assert type(got) is type(want)
+        assert str(got) == str(want) and vars(got) == vars(want)
+        return
+    edges, verts = want
+    assert got.edges == edges and got.vertices is verts
+    given_ids = {id(e) for e in rows}
+    for mine, theirs in zip(got.edges, edges):
+        assert mine is theirs if id(theirs) in given_ids else id(mine) not in given_ids
+
+
+def test_a_canonical_edge_list_is_checked_without_collections():
+    # the pair scan made three pair tuples an edge, about 100 collections here
+    packing = greedy_partial_steiner(500, 3, seed=1, effort=1.0)
+    edges = list(packing.edges)
+    assert len(edges) == 25_968
+    threshold, enabled = gc.get_threshold(), gc.isenabled()
+    gc.set_threshold(700, 10, 10)
+    gc.enable()
+    try:
+        gc.collect()
+        before = gc.get_stats()[0]["collections"]
+        g = LinearHypergraph(500, 3, edges)
+        collections = gc.get_stats()[0]["collections"] - before
+    finally:
+        gc.set_threshold(*threshold)
+        if not enabled:
+            gc.disable()
+    assert collections <= 2
+    assert g.edges == packing.edges
+    assert all(a is b for a, b in zip(g.edges, packing.edges))
 
 
 def test_pipelines_and_witness_checks_leave_the_callers_graph_bare():
